@@ -15,7 +15,12 @@ fn bench_contention(c: &mut Criterion) {
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(2));
     for workload in Workload::ALL {
-        let harness = ContentionHarness::new();
+        // The same pairing as `fig9_table`: disjoint with no journal
+        // attached, mixed on the production group-commit pipeline.
+        let harness = match workload {
+            Workload::Disjoint => ContentionHarness::new(),
+            Workload::Mixed => ContentionHarness::new_group_commit(),
+        };
         // Drive every switch to steady-state table size before measuring.
         harness.prime(workload);
         for deputies in [1usize, 2, 4, 8] {

@@ -1,20 +1,16 @@
-//! Figure 9: mediated-call throughput vs deputy count on the decomposed
-//! (shard-locked) kernel — the paper's §IX-B2 claim that stateless
-//! permission checks "scale out across deputy threads", measurable now that
-//! the single global kernel lock is gone.
+//! Figure 9: mediated-call throughput vs deputy count — the paper's §IX-B2
+//! claim that stateless permission checks "scale out across deputy
+//! threads". Every write goes through the kernel's one mutation seam (the
+//! flat-combining group commit, DESIGN.md §16), journal or not.
 //!
-//! Three series per deputy count:
+//! Two series per deputy count:
 //!
-//! * `disjoint` — pure inserts, one private switch per deputy, direct
-//!   unjournaled kernel (sharding best case).
-//! * `mixed` — the realistic op mix on the *direct* unjournaled kernel.
-//!   Historical series; it bypasses the production write pipeline, so its
-//!   speedups are reported under `speedup_mixed_direct_*`.
-//! * `group_commit` — the same mix on the production pipeline: journaled
-//!   kernel (flat-combining group-commit submit, batched journal appends,
-//!   DESIGN.md §16) with reads served via the lock-free RCU fast lane.
-//!   This is the configuration real apps get, so the headline
-//!   `speedup_mixed_*` keys are computed from this series.
+//! * `disjoint` — pure inserts, one private switch per deputy, no journal
+//!   attached: the seam with nothing to append.
+//! * `group_commit` — the realistic op mix on the production pipeline:
+//!   journaled kernel (batched journal appends) with reads served via the
+//!   lock-free RCU fast lane. This is the configuration real apps get, so
+//!   the headline `speedup_mixed_*` keys are computed from this series.
 //!
 //! Emits a machine-readable `BENCH_fig9.json` next to the table so later
 //! PRs have a throughput baseline to compare against.
@@ -103,13 +99,6 @@ fn measure(calls_total: usize, reps: usize) -> Vec<Series> {
             reps,
         ),
         measure_series(
-            "mixed",
-            ContentionHarness::new,
-            Workload::Mixed,
-            calls_total,
-            reps,
-        ),
-        measure_series(
             "group_commit",
             ContentionHarness::new_group_commit,
             Workload::Mixed,
@@ -160,10 +149,7 @@ fn to_json(series: &[Series], calls_total: usize) -> String {
     }
     s.push_str("  },\n");
     s.push_str("  \"series_notes\": {\n");
-    s.push_str("    \"disjoint\": \"direct unjournaled kernel, per-deputy private switches\",\n");
-    s.push_str(
-        "    \"mixed\": \"direct unjournaled kernel; bypasses the production write pipeline\",\n",
-    );
+    s.push_str("    \"disjoint\": \"no journal attached, per-deputy private switches\",\n");
     s.push_str(
         "    \"group_commit\": \"journaled kernel: flat-combining group-commit writes + RCU read fast lane (production path)\"\n",
     );
@@ -181,18 +167,8 @@ fn to_json(series: &[Series], calls_total: usize) -> String {
     );
     let _ = writeln!(
         s,
-        "  \"speedup_mixed_8_vs_1\": {:.2},",
+        "  \"speedup_mixed_8_vs_1\": {:.2}",
         speedup(series, "group_commit", 8)
-    );
-    let _ = writeln!(
-        s,
-        "  \"speedup_mixed_direct_4_vs_1\": {:.2},",
-        speedup(series, "mixed", 4)
-    );
-    let _ = writeln!(
-        s,
-        "  \"speedup_mixed_direct_8_vs_1\": {:.2}",
-        speedup(series, "mixed", 8)
     );
     s.push_str("}\n");
     s
@@ -238,16 +214,11 @@ fn main() {
         "group-commit (production path) speedup 8 vs 1 deputies: {:.2}x",
         speedup(&series, "group_commit", 8)
     );
-    println!(
-        "direct-kernel mixed speedup 4 vs 1 deputies: {:.2}x",
-        speedup(&series, "mixed", 4)
-    );
     if parallelism < 4 {
         println!(
             "note: scaling cannot materialize below 4 hardware threads; the\n\
-             tier-2 tests `four_deputies_beat_one_by_1_5x` and\n\
-             `mixed_workload_scales_1p5x_at_4_deputies` assert the >=1.5x\n\
-             bar on capable hosts (cargo test -- --ignored)."
+             tier-2 test `mixed_workload_scales_1p5x_at_4_deputies` asserts\n\
+             the >=1.5x bar on capable hosts (cargo test -- --ignored)."
         );
     }
 

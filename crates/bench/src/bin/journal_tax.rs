@@ -1,13 +1,14 @@
 //! Journal hot-path tax: mediated-call throughput with the command journal
 //! detached vs attached (DESIGN.md §12).
 //!
-//! Every state-changing kernel call encodes a [`Command`] frame and appends
-//! it to the journal while holding the commit lock, so journaling is a pure
-//! per-call overhead on the mediation hot path. This bench measures that
-//! overhead directly on `Kernel::execute` — no deputy channels, no app
-//! threads, just the seam the journal sits on — for three configurations:
+//! Every state-changing kernel call is a [`Command`] applied at one seam
+//! under the commit lock; with a journal attached the seam also encodes a
+//! frame and appends it, so journaling is a pure per-call overhead on the
+//! mediation hot path. This bench measures that overhead directly on
+//! `Kernel::execute` — no deputy channels, no app threads, just the seam
+//! the journal sits on — for three configurations:
 //!
-//! * `off`     — no journal attached (the pre-§12 hot path),
+//! * `off`     — no journal attached (the same seam minus the append),
 //! * `memory`  — in-memory journal (the warm-standby feed),
 //! * `file`    — file-backed journal (crash durability; includes the
 //!   kernel-buffered write syscall).
@@ -15,10 +16,10 @@
 //! Two vantage points:
 //!
 //! * **kernel seam** — raw `Kernel::execute` back to back on one thread.
-//!   This is a microbenchmark of the submit/append seam itself; the
-//!   journal's fixed per-command cost (commit lock, command reification,
-//!   record push) is a large *relative* number here because the baseline
-//!   is only a few hundred nanoseconds. Reported, not gated.
+//!   This is a microbenchmark of the append itself (watermark read, frame
+//!   encode, record push — `off` already pays the commit lock and the
+//!   command reification); it is a large *relative* number here because
+//!   the baseline is about a microsecond. Reported, not gated.
 //! * **mediated call** — `ctx.insert_flow` from an app through a real
 //!   deputy channel, the path every API call in the shielded controller
 //!   actually takes. This is the tax apps observe, and the number the

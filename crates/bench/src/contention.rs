@@ -1,8 +1,10 @@
 //! The Figure-9 contention workload: worker threads playing Kernel Service
 //! Deputies drive [`Kernel::execute`] directly, measuring how mediated-call
-//! throughput scales with deputy count now that the kernel has no global
-//! lock (paper §IX-B2: checks are stateless per call and scale out across
-//! deputy threads).
+//! throughput scales with deputy count (paper §IX-B2: checks are stateless
+//! per call and scale out across deputy threads). Every write serializes
+//! at the kernel's one mutation seam, the flat-combining group commit of
+//! DESIGN.md §16; what scales is the lock-free read side and the combiner's
+//! batching.
 //!
 //! Two workload shapes:
 //!
@@ -15,15 +17,15 @@
 //!
 //! And two harness shapes:
 //!
-//! * [`ContentionHarness::new`] — the direct, unjournaled kernel: every
-//!   call (reads included) goes through `Kernel::execute`. This is the
-//!   historical fig9 series and deliberately bypasses the production write
-//!   pipeline.
+//! * [`ContentionHarness::new`] — no journal attached: every call (reads
+//!   included) goes through `Kernel::execute`, so the combiner has nothing
+//!   to append. Measured on [`Workload::Disjoint`] only; on the mixed
+//!   workload it would be the group-commit series minus the append.
 //! * [`ContentionHarness::new_group_commit`] — the production shape: the
-//!   kernel journals every mutation, so writes run the flat-combining
-//!   group-commit submit path (DESIGN.md §16), and reads are served on the
-//!   calling thread via the lock-free RCU fast lane with a mediated-path
-//!   fallback — exactly what `ShieldedController` gives real apps.
+//!   kernel journals every mutation with batched group-appends, and reads
+//!   are served on the calling thread via the lock-free RCU fast lane with
+//!   a mediated-path fallback — exactly what `ShieldedController` gives
+//!   real apps.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -114,8 +116,8 @@ impl ContentionHarness {
     }
 
     /// The production write-pipeline variant: the kernel journals every
-    /// mutation — so submitters run the flat-combining group commit with
-    /// batched journal appends — and reads are served on the calling
+    /// mutation — the flat-combining group commit amortizes the appends
+    /// into one group-append per drain — and reads are served on the calling
     /// thread via [`Kernel::try_serve_read`] (falling back to the mediated
     /// path on epoch races), mirroring the `ShieldedController` defaults.
     /// Single-writer switch lanes are enabled when the host has the ≥ 4

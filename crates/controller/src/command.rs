@@ -140,8 +140,9 @@ impl Command {
 }
 
 /// The typed result of submitting a [`Command`]: each entry-point family
-/// keeps its native reply shape, so the journaled wrappers can hand back
-/// exactly what the unjournaled path would have.
+/// keeps its native reply shape, so the public wrappers around
+/// [`crate::kernel::Kernel::submit`] hand back exactly what their
+/// signatures promise.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CommandOutcome {
     /// An API-call style reply.

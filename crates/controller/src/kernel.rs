@@ -1,41 +1,40 @@
 //! The controller kernel: the single owner of network state, the permission
 //! engines, and the book-keeping behind stateful filters.
 //!
-//! All mutation goes through [`Kernel::execute`] — the choke point the paper
-//! calls the Kernel Service Deputy boundary (§VI-A). The kernel checks the
-//! call against the calling app's compiled permission engine (unless checks
-//! are disabled — the monolithic baseline), executes it, records the outcome
-//! in the audit log, and returns any events the execution generated for the
-//! dispatcher to deliver.
+//! All mutation goes through one seam, [`Kernel::submit`] — the choke point
+//! the paper calls the Kernel Service Deputy boundary (§VI-A). Every
+//! state-changing entry point reifies its work as a [`Command`]; the seam
+//! applies it under the commit lock: the call is checked against the
+//! calling app's compiled permission engine (unless checks are disabled —
+//! the monolithic baseline), executed, recorded in the audit log, appended
+//! to the journal when one is attached, and any events the execution
+//! generated are returned for the dispatcher to deliver.
 //!
 //! # Concurrency
 //!
-//! There is no kernel-wide lock. State is decomposed into independently
-//! synchronized subsystems so concurrent deputies contend only where they
-//! genuinely share data (paper §IX-B2: permission engines are stateless per
-//! call and scale out across deputy threads):
+//! Writers serialize at the seam: check and apply are one step under the
+//! commit lock, so a quota can never be overshot by racing checks and a
+//! [`Kernel::snapshot`] never cuts a transaction in half (DESIGN.md §6,
+//! §16). Readers never take the commit lock. State stays decomposed into
+//! independently synchronized subsystems so the read side — call-only
+//! permission checks, the app-side read fast lane, stats — contends only
+//! with the one writer that happens to touch the same data:
 //!
 //! * **registry** (`RwLock`): engines, app names, virtual topologies.
-//!   Read-mostly — written only at register/deregister time. The permission
-//!   check clones an `Arc<PermissionEngine>` out of a read guard and runs
-//!   against the tracker's read lock: no exclusive kernel lock anywhere on
-//!   the check path.
+//!   Read-mostly — written only at register/deregister time.
 //! * **network**: internally sharded by `netsim` — per-switch mutexes, an
-//!   `RwLock` topology, an atomic clock. Flow-mods on distinct datapaths
-//!   take distinct locks.
-//! * **tracker** (`RwLock`): ownership/quota state read by checks, written
-//!   after successful flow-mods.
-//! * **audit**: internally segmented, lock-free sequence allocation;
-//!   appends never serialize deputies on one mutex.
+//!   RCU-published topology and switch views, an atomic clock.
+//! * **tracker** (`RwLock`): ownership/quota state read by stateful checks,
+//!   written after successful flow-mods.
+//! * **audit**: lock-free ring with a single sequencing drainer.
 //! * **subs**, **host**, **host_inbox**: small independent locks.
 //!
 //! Lock-ordering hierarchy (a thread may only acquire downward, and the
 //! code never holds two of these at once except Registry→Topology inside
 //! `topology_view_for`): Registry → Subs → Tracker → Topology →
-//! Switch(ascending dpid, one at a time) → Host → HostInbox. See
-//! DESIGN.md "Locking hierarchy & scaling" for the rationale and the
-//! relaxations this buys (check-then-apply quota overshoot, cross-thread
-//! audit ordering).
+//! Switch(ascending dpid, one at a time) → Host → HostInbox. The commit
+//! lock sits above all of them. See DESIGN.md "Locking hierarchy &
+//! scaling" for the rationale.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -52,7 +51,7 @@ use sdnshield_core::filter::{FilterExpr, SingletonFilter};
 use sdnshield_core::perm::PermissionSet;
 use sdnshield_core::token::PermissionToken;
 use sdnshield_core::vtopo::{PhysView, VirtualTopology};
-use sdnshield_netsim::network::{Delivery, Network};
+use sdnshield_netsim::network::{Delivery, Network, RemovedFlow};
 use sdnshield_openflow::flow_table::RemovedEntry;
 use sdnshield_openflow::messages::{
     FlowMod, FlowRemoved, OfError, PacketIn, PacketOut, StatsReply, StatsRequest,
@@ -75,6 +74,18 @@ pub struct OutboundEvent {
     /// dispatch).
     pub event: Event,
 }
+
+/// What the seam hands back for one command: its typed outcome plus the
+/// events its application generated.
+type Submitted = (CommandOutcome, Vec<OutboundEvent>);
+
+/// The held commit lock. The attached journal lives inside it: only the
+/// lock holder appends, so "no journal" just means nothing to append to.
+type CommitGuard<'a> = MutexGuard<'a, Option<Arc<Journal>>>;
+
+/// One drained batch entry: the parked peer to answer (`None` for the
+/// combiner's own command) and the command, taken once journaled.
+type BatchEntry = (Option<Arc<SubmitSlot>>, Option<Command>);
 
 /// Capacity of the flat-combining slot ring: how many contending submitters
 /// can park behind the combiner before the overflow path falls back to
@@ -128,7 +139,11 @@ struct SlotState {
     /// The submitted command; taken (exactly once) by the combiner.
     cmd: Option<Command>,
     /// The command's result; taken (exactly once) by the submitter.
-    done: Option<(CommandOutcome, Vec<OutboundEvent>)>,
+    done: Option<Submitted>,
+    /// Has the submitter ever gone to sleep on `cv`? One that is still
+    /// yield-spinning finds `done` by itself, so the combiner skips the
+    /// wake — an unconditional futex syscall — for it.
+    parked: bool,
 }
 
 impl SubmitSlot {
@@ -137,6 +152,7 @@ impl SubmitSlot {
             state: std::sync::Mutex::new(SlotState {
                 cmd: Some(cmd),
                 done: None,
+                parked: false,
             }),
             cv: std::sync::Condvar::new(),
         }
@@ -156,41 +172,47 @@ impl SubmitSlot {
         self.state().cmd.take()
     }
 
-    fn fulfill(&self, result: (CommandOutcome, Vec<OutboundEvent>)) {
+    fn fulfill(&self, result: Submitted) {
         let mut st = self.state();
         st.done = Some(result);
-        self.cv.notify_one();
+        if st.parked {
+            self.cv.notify_one();
+        }
     }
 
-    fn try_take_done(&self) -> Option<(CommandOutcome, Vec<OutboundEvent>)> {
+    fn try_take_done(&self) -> Option<Submitted> {
         self.state().done.take()
     }
 
     fn park(&self, timeout: Duration) {
-        let st = self.state();
+        let mut st = self.state();
         if st.done.is_some() {
             return;
         }
+        st.parked = true;
         let _ = self.cv.wait_timeout(st, timeout);
     }
 }
 
 /// Internal combiner counters, all updated with relaxed atomics on the
-/// write path and snapshotted by [`Kernel::combiner_stats`].
+/// write path and snapshotted by [`Kernel::combiner_stats`]. A drain of one
+/// command — the hot path — touches only `submitted`; the snapshot derives
+/// the single-command bucket from it.
 #[derive(Default)]
 struct CombinerCounters {
-    /// Commands that entered [`Kernel::submit`].
+    /// Commands drained through [`Kernel::submit`].
     submitted: AtomicU64,
-    /// Non-empty batch drains (commit-lock acquisitions that applied work).
-    drains: AtomicU64,
+    /// Commands drained in batches of two or more.
+    batched: AtomicU64,
     /// Commands applied by a combiner on behalf of a parked peer.
     combined: AtomicU64,
     /// Submitters that found the slot ring full and fell back to blocking
     /// on the commit lock directly.
     ring_fallbacks: AtomicU64,
     /// Batch-size histogram: buckets 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+.
+    /// Bucket 0 is derived (`submitted - batched`), never written.
     batch_hist: [AtomicU64; 8],
-    /// Largest batch drained so far.
+    /// Largest batch of two or more drained so far.
     max_batch: AtomicU64,
     /// Flow-mods fanned out to switch lanes.
     lane_jobs: AtomicU64,
@@ -352,14 +374,12 @@ impl Drop for LanePool {
 /// the permission decision is already made (it was call-only, hence a pure
 /// function of the call), the cookie is stamped, and the target is a single
 /// physical datapath.
-struct FlowLanePlan {
-    app: AppId,
-    kind_name: &'static str,
-    token: PermissionToken,
+struct FlowLanePlan<'a> {
+    call: &'a ApiCall,
     dpid: DatapathId,
+    decision: Decision,
     /// `Some` iff the call passed its check (denied calls carry no mod).
     stamped: Option<FlowMod>,
-    denied: Option<ApiError>,
 }
 
 /// Read-mostly app registry: written only at register/deregister time, read
@@ -420,12 +440,13 @@ pub struct Kernel {
     /// invalidates it; the reverse order could cache a stale engine under
     /// the *current* epoch forever).
     registry_epoch: std::sync::atomic::AtomicU64,
-    /// Serializes command apply+append once a journal is attached, making
-    /// journal order identical to commit order. Deliberately OUTSIDE the
-    /// `lockorder` hierarchy: it is always acquired before any ranked
-    /// subsystem lock and released after them, so it cannot participate in
-    /// an inversion — and reads never take it at all.
-    commit: Mutex<()>,
+    /// The commit lock: serializes every command's check+apply+append,
+    /// making journal order identical to commit order, and guards the
+    /// attached journal (`None` = nothing to append to). Deliberately
+    /// OUTSIDE the `lockorder` hierarchy: it is always acquired before any
+    /// ranked subsystem lock and released after them, so it cannot
+    /// participate in an inversion — and reads never take it at all.
+    commit: Mutex<Option<Arc<Journal>>>,
     /// Flat-combining slot ring (DESIGN.md §16): submitters who lose the
     /// race for the commit lock publish their command here; the lock winner
     /// drains the ring and applies the whole batch under one acquisition
@@ -437,11 +458,6 @@ pub struct Kernel {
     /// Only the combiner — which holds the commit lock — uses the pool, so
     /// this mutex is uncontended on the hot path.
     lanes: Mutex<Option<LanePool>>,
-    /// The attached command journal, if any.
-    journal: Mutex<Option<Arc<Journal>>>,
-    /// Fast flag mirroring `journal.is_some()`, checked by the public
-    /// wrappers without taking the journal mutex.
-    journal_attached: AtomicBool,
     /// Set by [`Kernel::seal`]: every later submit is refused with
     /// [`ApiError::Shutdown`] instead of being applied. This is how failover
     /// fences the old primary.
@@ -500,12 +516,10 @@ impl Kernel {
             absorb_packet_outs: std::sync::atomic::AtomicBool::new(false),
             lint_on_register: std::sync::atomic::AtomicBool::new(false),
             registry_epoch: std::sync::atomic::AtomicU64::new(0),
-            commit: Mutex::new(()),
+            commit: Mutex::new(None),
             submit_ring: ArrayQueue::new(SUBMIT_RING_CAPACITY),
             combiner: CombinerCounters::default(),
             lanes: Mutex::new(None),
-            journal: Mutex::new(None),
-            journal_attached: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
             last_applied: AtomicU64::new(0),
             replaying: AtomicBool::new(false),
@@ -656,6 +670,83 @@ impl Kernel {
         }
     }
 
+    /// Decides `call` against the calling app's `engine` — the one place a
+    /// permission decision is made, whichever lane asks. Side-effect free.
+    ///
+    /// With `live`, a stateful plan is decided against the ownership
+    /// tracker and the answer is always `Some`. Without it the decision
+    /// must be a pure function of the call: `None` means "needs live
+    /// state" (a stateful plan, or the tracker moved mid-decision) and the
+    /// caller routes the call to a lane that holds the commit lock.
+    fn decide(
+        &self,
+        engine: Option<&PermissionEngine>,
+        call: &ApiCall,
+        live: bool,
+    ) -> Option<Decision> {
+        if !self.checks_enabled {
+            return Some(Decision::Allowed);
+        }
+        // No engine: the app was never registered, or has been reaped.
+        let Some(engine) = engine else {
+            return Some(Decision::Denied {
+                token: call.required_token(),
+                reason: sdnshield_core::engine::DenyReason::MissingToken,
+            });
+        };
+        let epoch = self.context_epoch();
+        match engine.check_call_only(call, epoch) {
+            Some(decision) if live || self.context_epoch() == epoch => Some(decision),
+            None if live => Some(engine.check(call, &*self.tracker_read())),
+            _ => None,
+        }
+    }
+
+    /// Records a decision: traced under `lane`, and a denial audited as
+    /// `op` and turned into the caller's error.
+    fn admit(
+        &self,
+        call: &ApiCall,
+        op: &str,
+        lane: &'static str,
+        decision: Decision,
+    ) -> Result<(), ApiError> {
+        if self.checks_enabled {
+            self.trace_decision(call, decision.is_allowed(), lane);
+        }
+        if decision.is_allowed() {
+            return Ok(());
+        }
+        self.record_audit(call.app, op, call.required_token(), AuditOutcome::Denied);
+        Err(ApiError::from_decision(decision))
+    }
+
+    /// The authorize step of every mediated call that holds the commit
+    /// lock: decide against live state, trace, audit a denial.
+    fn authorize(
+        &self,
+        engine: Option<&PermissionEngine>,
+        call: &ApiCall,
+        op: &str,
+        lane: &'static str,
+    ) -> Result<(), ApiError> {
+        let decision = self
+            .decide(engine, call, true)
+            .expect("a live decision always resolves");
+        self.admit(call, op, lane, decision)
+    }
+
+    /// The audit-outcome step: an authorized operation either took effect
+    /// or failed downstream of the permission check.
+    fn audit_outcome(&self, app: AppId, op: &str, token: PermissionToken, ok: bool) {
+        let outcome = if ok {
+            AuditOutcome::Allowed
+        } else {
+            AuditOutcome::Failed
+        };
+        self.record_audit(app, op, token, outcome);
+    }
+
     /// Enables/disables CBench mode (see the field documentation).
     pub fn set_absorb_packet_outs(&self, absorb: bool) {
         self.absorb_packet_outs
@@ -665,6 +756,17 @@ impl Kernel {
     /// The permission engine for an app, if registered.
     fn engine_for(&self, app: AppId) -> Option<Arc<PermissionEngine>> {
         self.reg_read().engines.get(&app).cloned()
+    }
+
+    /// The engine a checked kernel authorizes `app` against. `None` on the
+    /// monolithic baseline (which never consults one) and for an
+    /// unregistered app (which [`Kernel::decide`] denies).
+    fn checked_engine(&self, app: AppId) -> Option<Arc<PermissionEngine>> {
+        if self.checks_enabled {
+            self.engine_for(app)
+        } else {
+            None
+        }
     }
 
     /// The virtual-topology mapper for an app, if granted one.
@@ -693,25 +795,19 @@ impl Kernel {
         name: &str,
         manifest: &PermissionSet,
     ) -> Result<(), ApiError> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, _) = self.submit(Command::RegisterApp {
-                app,
-                name: name.to_owned(),
-                manifest: manifest.to_string(),
-            });
-            return outcome.into_ack();
-        }
-        let lint = self
-            .lint_on_register
-            .load(std::sync::atomic::Ordering::SeqCst);
-        self.register_app_unjournaled(app, name, manifest, &manifest.to_string(), lint)
+        let (outcome, _) = self.submit(Command::RegisterApp {
+            app,
+            name: name.to_owned(),
+            manifest: manifest.to_string(),
+        });
+        outcome.into_ack()
     }
 
-    /// The registration body proper. `text` is the canonical manifest text
+    /// Applies a registration. `text` is the canonical manifest text
     /// retained for snapshots; `lint` gates the registration-time lint
     /// (recovery re-registers snapshot apps with `lint = false` — those
     /// manifests were admitted before the crash).
-    fn register_app_unjournaled(
+    fn apply_register(
         &self,
         app: AppId,
         name: &str,
@@ -810,79 +906,48 @@ impl Kernel {
     /// Executes one mediated call: permission check, execution, audit.
     /// Returns the response plus any events to dispatch.
     ///
-    /// With a journal attached the call is reified as a [`Command`] and
-    /// routed through [`Kernel::submit`] — applied and appended under the
-    /// commit lock. Journaling is unconditional, denials included: replay
-    /// re-derives the same denials, which is what keeps tracker epochs (a
-    /// count of tracker mutations) identical between a live kernel and its
-    /// recovered twin.
-    ///
-    /// The check acquires no exclusive lock: it reads the engine out of the
-    /// registry (shared lock, dropped immediately) and evaluates against a
-    /// shared borrow of the ownership tracker. Execution then takes only
-    /// the locks the specific call needs — a flow-mod on switch 3 contends
-    /// with nothing but other traffic on switch 3.
+    /// The call is reified as a [`Command`] and routed through
+    /// [`Kernel::submit`] — checked, applied and (with a journal attached)
+    /// appended under the commit lock. Journaling is unconditional, denials
+    /// included: replay re-derives the same denials, which is what keeps
+    /// tracker epochs (a count of tracker mutations) identical between a
+    /// live kernel and its recovered twin.
     pub fn execute(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::Call(call.clone()));
-            return (outcome.into_api(), events);
-        }
-        self.execute_unjournaled(call)
+        let (outcome, events) = self.submit(Command::Call(call.clone()));
+        (outcome.into_api(), events)
     }
 
-    fn execute_unjournaled(
+    /// Applies one mediated call: authorize, perform, audit the outcome.
+    fn apply_call(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
+        let engine = self.checked_engine(call.app);
+        let op = call.kind.name();
+        if let Err(denied) = self.authorize(engine.as_deref(), call, op, "deputy") {
+            return (Err(denied), Vec::new());
+        }
+        self.perform_audited(call)
+    }
+
+    /// Performs an authorized call and audits its outcome. In CBench mode
+    /// a packet-out skips the data-plane walk, but a wire-attached switch
+    /// still gets the mediated reply on its socket.
+    fn perform_audited(
         &self,
         call: &ApiCall,
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        if self.checks_enabled {
-            let Some(engine) = self.engine_for(call.app) else {
-                let err = ApiError::PermissionDenied {
-                    token: call.required_token(),
-                    reason: sdnshield_core::engine::DenyReason::MissingToken,
-                };
-                self.trace_decision(call, false, "deputy");
-                return (Err(err), Vec::new());
-            };
-            let decision = engine.check_with(call, self.context_epoch(), || self.tracker_read());
-            if let Decision::Denied { .. } = decision {
-                self.trace_decision(call, false, "deputy");
-                self.record_audit(
-                    call.app,
-                    call.kind.name(),
-                    call.required_token(),
-                    AuditOutcome::Denied,
-                );
-                return (Err(ApiError::from_decision(decision)), Vec::new());
-            }
-            self.trace_decision(call, true, "deputy");
-        }
-        if self
-            .absorb_packet_outs
-            .load(std::sync::atomic::Ordering::SeqCst)
-        {
-            if let ApiCallKind::SendPacketOut { dpid, packet_out } = &call.kind {
-                self.record_audit(
-                    call.app,
-                    call.kind.name(),
-                    call.required_token(),
-                    AuditOutcome::Allowed,
-                );
-                // Absorb mode skips the data-plane walk, but a wire-attached
-                // switch still needs the mediated reply on its socket.
+        let (result, events) = match &call.kind {
+            ApiCallKind::SendPacketOut { dpid, packet_out }
+                if self.absorb_packet_outs.load(Ordering::SeqCst) =>
+            {
                 self.network.notify_wire_packet_out(*dpid, packet_out);
-                return (Ok(ApiResponse::Unit), Vec::new());
+                (Ok(ApiResponse::Unit), Vec::new())
             }
-        }
-        let (result, events) = self.apply(call);
-        self.record_audit(
+            _ => self.perform(call),
+        };
+        self.audit_outcome(
             call.app,
             call.kind.name(),
             call.required_token(),
-            if result.is_ok() {
-                AuditOutcome::Allowed
-            } else {
-                AuditOutcome::Failed
-            },
+            result.is_ok(),
         );
         (result, events)
     }
@@ -896,7 +961,7 @@ impl Kernel {
     ///   ([`PermissionEngine::check_call_only`] — constant or call-only
     ///   plan; stateful literals route to the deputy), and
     /// * the handler is one of the read-only kinds (`read_topology`,
-    ///   `read_flow_table`, `read_statistics`), whose `apply` arms mutate
+    ///   `read_flow_table`, `read_statistics`), whose `perform` arms mutate
     ///   nothing and emit no events.
     ///
     /// The context epoch is re-read after the check: if the ownership
@@ -908,11 +973,7 @@ impl Kernel {
     ///
     /// `None` always means "route through the deputy", never "denied".
     pub fn try_serve_read(&self, call: &ApiCall) -> Option<Result<ApiResponse, ApiError>> {
-        let engine = if self.checks_enabled {
-            self.engine_for(call.app)
-        } else {
-            None
-        };
+        let engine = self.checked_engine(call.app);
         self.try_serve_read_with(call, engine.as_deref())
     }
 
@@ -932,79 +993,55 @@ impl Kernel {
         ) {
             return None;
         }
-        if self.checks_enabled {
-            let engine = engine?;
-            let epoch = self.context_epoch();
-            let decision = engine.check_call_only(call, epoch)?;
-            if self.context_epoch() != epoch {
-                // The tracker mutated mid-decision: abandon the hit and let
-                // the deputy re-decide against a live tracker view.
-                return None;
-            }
-            if let Decision::Denied { .. } = decision {
-                self.trace_decision(call, false, "fastlane");
-                self.record_audit(
-                    call.app,
-                    call.kind.name(),
-                    call.required_token(),
-                    AuditOutcome::Denied,
-                );
-                return Some(Err(ApiError::from_decision(decision)));
-            }
-            self.trace_decision(call, true, "fastlane");
+        if self.checks_enabled && engine.is_none() {
+            // Unregistered or reaped: the deputy lane denies it.
+            return None;
         }
-        let (result, events) = self.apply(call);
-        debug_assert!(events.is_empty(), "read-only apply arms emit no events");
-        self.record_audit(
-            call.app,
-            call.kind.name(),
-            call.required_token(),
-            if result.is_ok() {
-                AuditOutcome::Allowed
-            } else {
-                AuditOutcome::Failed
-            },
-        );
+        // No commit lock here, so the decision must not need live state: a
+        // stateful plan or a tracker that moved mid-decision abandons the
+        // hit and the deputy re-decides against a live tracker view.
+        let decision = self.decide(engine, call, false)?;
+        if let Err(denied) = self.admit(call, call.kind.name(), "fastlane", decision) {
+            return Some(Err(denied));
+        }
+        let (result, events) = self.perform_audited(call);
+        debug_assert!(events.is_empty(), "read-only perform arms emit no events");
         Some(result)
     }
 
     /// Executes an atomic group of flow operations (paper §VI-B2): all
     /// operations are permission-checked first; execution applies all or —
     /// on a mid-flight switch error — rolls back the already-applied prefix.
+    /// Check and apply are one step at the seam, so no other writer or
+    /// [`Kernel::snapshot`] observes the group half-applied.
     pub fn execute_transaction(
         &self,
         app: AppId,
         ops: &[FlowOp],
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::Transaction {
-                app,
-                ops: ops.to_vec(),
-            });
-            return (outcome.into_api(), events);
-        }
-        self.run_atomic(app, ops, "transaction")
+        let (outcome, events) = self.submit(Command::Transaction {
+            app,
+            ops: ops.to_vec(),
+        });
+        (outcome.into_api(), events)
     }
 
     /// Executes a batch of flow operations submitted through the batched
     /// deputy API (`AppCtx::submit_batch`): the same atomic check/apply/
     /// rollback machinery as [`Kernel::execute_transaction`], but audited
     /// as a `batch`. The win over N singleton calls is amortization — one
-    /// channel crossing, one engine fetch, one tracker read guard, and one
-    /// audit record for the whole group.
+    /// channel crossing, one engine fetch, one commit, and one audit record
+    /// for the whole group.
     pub fn execute_batch(
         &self,
         app: AppId,
         ops: &[FlowOp],
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::Batch {
-                app,
-                ops: ops.to_vec(),
-            });
-            return (outcome.into_api(), events);
-        }
-        self.run_atomic(app, ops, "batch")
+        let (outcome, events) = self.submit(Command::Batch {
+            app,
+            ops: ops.to_vec(),
+        });
+        (outcome.into_api(), events)
     }
 
     /// Checks and applies a group of packet-outs moved across the deputy
@@ -1020,40 +1057,19 @@ impl Kernel {
         app: AppId,
         outs: &[(DatapathId, PacketOut)],
     ) -> (Result<usize, ApiError>, Vec<OutboundEvent>) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, events) = self.submit(Command::PacketOuts {
-                app,
-                outs: outs.to_vec(),
-            });
-            return (outcome.into_count(), events);
-        }
-        self.execute_packet_outs_unjournaled(app, outs)
+        let (outcome, events) = self.submit(Command::PacketOuts {
+            app,
+            outs: outs.to_vec(),
+        });
+        (outcome.into_count(), events)
     }
 
-    fn execute_packet_outs_unjournaled(
+    fn apply_packet_outs(
         &self,
         app: AppId,
         outs: &[(DatapathId, PacketOut)],
     ) -> (Result<usize, ApiError>, Vec<OutboundEvent>) {
-        let engine = if self.checks_enabled {
-            match self.engine_for(app) {
-                Some(e) => Some(e),
-                None => {
-                    return (
-                        Err(ApiError::PermissionDenied {
-                            token: PermissionToken::SendPktOut,
-                            reason: sdnshield_core::engine::DenyReason::MissingToken,
-                        }),
-                        Vec::new(),
-                    );
-                }
-            }
-        } else {
-            None
-        };
-        let absorb = self
-            .absorb_packet_outs
-            .load(std::sync::atomic::Ordering::SeqCst);
+        let engine = self.checked_engine(app);
         let mut sent = 0usize;
         let mut events = Vec::new();
         for (dpid, packet_out) in outs {
@@ -1064,45 +1080,16 @@ impl Kernel {
                     packet_out: packet_out.clone(),
                 },
             };
-            if let Some(engine) = engine.as_deref() {
-                let decision =
-                    engine.check_with(&call, self.context_epoch(), || self.tracker_read());
-                if let Decision::Denied { .. } = decision {
-                    self.trace_decision(&call, false, "vectored");
-                    self.record_audit(
-                        app,
-                        call.kind.name(),
-                        call.required_token(),
-                        AuditOutcome::Denied,
-                    );
-                    continue;
+            if let Err(denied) =
+                self.authorize(engine.as_deref(), &call, call.kind.name(), "vectored")
+            {
+                if engine.is_none() {
+                    // Unregistered or reaped: the whole group is refused.
+                    return (Err(denied), events);
                 }
-                self.trace_decision(&call, true, "vectored");
-            }
-            if absorb {
-                self.record_audit(
-                    app,
-                    call.kind.name(),
-                    call.required_token(),
-                    AuditOutcome::Allowed,
-                );
-                // As in the singleton path: no data-plane walk, but mirror
-                // the allowed packet-out to any wire-attached switch.
-                self.network.notify_wire_packet_out(*dpid, packet_out);
-                sent += 1;
                 continue;
             }
-            let (result, evs) = self.apply(&call);
-            self.record_audit(
-                app,
-                call.kind.name(),
-                call.required_token(),
-                if result.is_ok() {
-                    AuditOutcome::Allowed
-                } else {
-                    AuditOutcome::Failed
-                },
-            );
+            let (result, evs) = self.perform_audited(&call);
             if result.is_ok() {
                 sent += 1;
             }
@@ -1127,46 +1114,22 @@ impl Kernel {
         ops: &[FlowOp],
         audit_op: &'static str,
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        // Phase 1: check everything before touching any state.
-        if self.checks_enabled {
-            let Some(engine) = self.engine_for(app) else {
-                return (
-                    Err(ApiError::PermissionDenied {
-                        token: PermissionToken::InsertFlow,
-                        reason: sdnshield_core::engine::DenyReason::MissingToken,
-                    }),
-                    Vec::new(),
-                );
-            };
-            // Call-only decisions resolve against the pinned epoch without
-            // the tracker lock; the read guard is acquired lazily on the
-            // first stateful literal and then held so every stateful check
-            // in the batch sees one consistent tracker view.
-            let epoch = self.context_epoch();
-            let mut tracker = None;
-            for (i, op) in ops.iter().enumerate() {
-                let call = flow_op_call(app, op);
-                let decision = match engine.check_call_only(&call, epoch) {
-                    Some(d) => d,
-                    None => {
-                        let t = tracker.get_or_insert_with(|| self.tracker_read());
-                        engine.check(&call, &**t)
+        // Phase 1: check everything before touching any state. The commit
+        // lock is held, so every check sees one consistent tracker view.
+        let engine = self.checked_engine(app);
+        for (i, op) in ops.iter().enumerate() {
+            let call = flow_op_call(app, op);
+            if let Err(denied) = self.authorize(engine.as_deref(), &call, audit_op, "batch") {
+                let err = if engine.is_none() {
+                    // Unregistered or reaped: the whole group is refused.
+                    denied
+                } else {
+                    ApiError::TransactionAborted {
+                        failed_index: i,
+                        cause: Box::new(denied),
                     }
                 };
-                if let Decision::Denied { .. } = decision {
-                    drop(tracker);
-                    self.trace_decision(&call, false, "batch");
-                    self.audit
-                        .record(app, audit_op, call.required_token(), AuditOutcome::Denied);
-                    return (
-                        Err(ApiError::TransactionAborted {
-                            failed_index: i,
-                            cause: Box::new(ApiError::from_decision(decision)),
-                        }),
-                        Vec::new(),
-                    );
-                }
-                self.trace_decision(&call, true, "batch");
+                return (Err(err), Vec::new());
             }
         }
         // Phase 2: apply, with rollback on switch errors.
@@ -1186,12 +1149,7 @@ impl Kernel {
                     for (j, removed) in applied.into_iter().rev() {
                         self.rollback(app, &ops[j], removed);
                     }
-                    self.record_audit(
-                        app,
-                        audit_op,
-                        PermissionToken::InsertFlow,
-                        AuditOutcome::Failed,
-                    );
+                    self.audit_outcome(app, audit_op, PermissionToken::InsertFlow, false);
                     return (
                         Err(ApiError::TransactionAborted {
                             failed_index: i,
@@ -1202,30 +1160,14 @@ impl Kernel {
                 }
             }
         }
-        self.record_audit(
-            app,
-            audit_op,
-            PermissionToken::InsertFlow,
-            AuditOutcome::Allowed,
-        );
+        self.audit_outcome(app, audit_op, PermissionToken::InsertFlow, true);
         (Ok(ApiResponse::Unit), events)
     }
 
     /// Injects a data-plane frame from a host NIC (the simulation driver),
     /// returning packet-in events for dispatch.
     pub fn inject_host_frame(&self, frame: EthernetFrame) -> Vec<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::InjectHostFrame { frame });
-            return events;
-        }
-        self.inject_host_frame_unjournaled(frame)
-    }
-
-    fn inject_host_frame_unjournaled(&self, frame: EthernetFrame) -> Vec<OutboundEvent> {
-        match self.network.inject_from_host(frame) {
-            Ok(deliveries) => self.absorb_deliveries(deliveries),
-            Err(_) => Vec::new(),
-        }
+        self.submit(Command::InjectHostFrame { frame }).1
     }
 
     /// Feeds a fabricated packet-in (CBench-style benchmarking) without a
@@ -1240,23 +1182,7 @@ impl Kernel {
     /// and produces a topology-changed event for subscribed apps. Returns
     /// `None` when no such link existed (no event is produced).
     pub fn fail_link(&self, a: DatapathId, b: DatapathId) -> Option<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::FailLink { a, b });
-            return events.into_iter().next();
-        }
-        self.fail_link_unjournaled(a, b)
-    }
-
-    fn fail_link_unjournaled(&self, a: DatapathId, b: DatapathId) -> Option<OutboundEvent> {
-        if self.network.with_topology_mut(|t| t.remove_link(a, b)) {
-            Some(OutboundEvent {
-                event: Event::TopologyChanged {
-                    description: format!("link {a} <-> {b} failed"),
-                },
-            })
-        } else {
-            None
-        }
+        self.submit(Command::FailLink { a, b }).1.into_iter().next()
     }
 
     /// Advances the virtual clock, expiring flows and producing
@@ -1264,15 +1190,13 @@ impl Kernel {
     /// is a deterministic function of clock position, so replaying the
     /// clock replays the expiries.
     pub fn advance_clock(&self, secs: u64) -> Vec<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::AdvanceClock { secs });
-            return events;
-        }
-        self.advance_clock_unjournaled(secs)
+        self.submit(Command::AdvanceClock { secs }).1
     }
 
-    fn advance_clock_unjournaled(&self, secs: u64) -> Vec<OutboundEvent> {
-        let removed = self.network.advance_clock(secs);
+    /// Records entries that left the data plane without a flow-mod (timeout
+    /// expiry, owner reaped) in the ownership tracker, under one write
+    /// lock, and returns their flow-removed events.
+    fn expire(&self, removed: Vec<RemovedFlow>) -> Vec<OutboundEvent> {
         let mut events = Vec::new();
         if removed.is_empty() {
             return events;
@@ -1317,14 +1241,10 @@ impl Kernel {
     /// (Registry, Subs, Host, then each switch in ascending dpid order, then
     /// Tracker), so reaping can never deadlock against concurrent deputies.
     pub fn deregister_app(&self, app: AppId) -> Vec<OutboundEvent> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (_, events) = self.submit(Command::DeregisterApp { app });
-            return events;
-        }
-        self.deregister_app_unjournaled(app)
+        self.submit(Command::DeregisterApp { app }).1
     }
 
-    fn deregister_app_unjournaled(&self, app: AppId) -> Vec<OutboundEvent> {
+    fn apply_deregister(&self, app: AppId) -> Vec<OutboundEvent> {
         self.trace_event(|| sdnshield_core::trace::TraceEvent::Deregister { app });
         {
             let mut reg = self.reg_write();
@@ -1344,27 +1264,7 @@ impl Kernel {
             }
         }
         self.host_lock().close_connections(app);
-        let removed = self.network.remove_flows_owned_by(app.0);
-        let mut events = Vec::new();
-        if removed.is_empty() {
-            return events;
-        }
-        self.tracker_mut(|tracker| {
-            for r in removed {
-                tracker.record_expiry(
-                    r.dpid,
-                    &r.removed.entry.flow_match,
-                    r.removed.entry.priority,
-                );
-                events.push(OutboundEvent {
-                    event: Event::FlowRemoved {
-                        dpid: r.dpid,
-                        flow_removed: to_flow_removed(&r.removed),
-                    },
-                });
-            }
-        });
-        events
+        self.expire(self.network.remove_flows_owned_by(app.0))
     }
 
     /// Records an app crash in the audit log (`phase` says where it died,
@@ -1417,22 +1317,10 @@ impl Kernel {
     /// Subscribes an app to a custom topic (not permission-gated: topics are
     /// app-published data, mediated by the publishing app).
     pub fn subscribe_topic(&self, app: AppId, topic: &str) {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let _ = self.submit(Command::SubscribeTopic {
-                app,
-                topic: topic.to_owned(),
-            });
-            return;
-        }
-        self.subscribe_topic_unjournaled(app, topic);
-    }
-
-    fn subscribe_topic_unjournaled(&self, app: AppId, topic: &str) {
-        let mut subs = self.subs_write();
-        let subs = subs.custom.entry(topic.to_owned()).or_default();
-        if !subs.contains(&app) {
-            subs.push(app);
-        }
+        let _ = self.submit(Command::SubscribeTopic {
+            app,
+            topic: topic.to_owned(),
+        });
     }
 
     /// May this app read packet-in payloads (`read_payload`)? Always true on
@@ -1455,23 +1343,8 @@ impl Kernel {
         if grants.is_empty() {
             return;
         }
-        if self.journal_attached.load(Ordering::Acquire) {
-            let _ = self.submit(Command::RecordPktIns {
-                grants: grants.to_vec(),
-            });
-            return;
-        }
-        self.record_pkt_ins_unjournaled(grants);
-    }
-
-    fn record_pkt_ins_unjournaled(&self, grants: &[(AppId, Bytes)]) {
-        if grants.is_empty() {
-            return;
-        }
-        self.tracker_mut(|tracker| {
-            for (app, payload) in grants {
-                tracker.record_pkt_in(*app, payload);
-            }
+        let _ = self.submit(Command::RecordPktIns {
+            grants: grants.to_vec(),
         });
     }
 
@@ -1489,8 +1362,8 @@ impl Kernel {
                 };
                 let mut pi = packet_in.clone();
                 if can_read {
-                    // Routed through the journaled seam: the provenance
-                    // grant is a tracker mutation and must replay.
+                    // Routed through the seam: the provenance grant is a
+                    // tracker mutation and must replay.
                     self.record_pkt_ins(&[(app, pi.payload.clone())]);
                 } else {
                     pi.payload = Bytes::new();
@@ -1527,60 +1400,32 @@ impl Kernel {
     /// destination against the app's `host_network` filter (so a filter
     /// narrowed after connect still applies).
     pub fn host_send(&self, app: AppId, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
-        if self.journal_attached.load(Ordering::Acquire) {
-            let (outcome, _) = self.submit(Command::HostSend {
-                app,
-                conn: conn.0,
-                data,
-            });
-            return outcome.into_ack();
-        }
-        self.host_send_unjournaled(app, conn, data)
+        let (outcome, _) = self.submit(Command::HostSend {
+            app,
+            conn: conn.0,
+            data,
+        });
+        outcome.into_ack()
     }
 
-    fn host_send_unjournaled(&self, app: AppId, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
-        let dst = {
-            let host = self.host_lock();
-            let found = host
-                .connections_by(app)
-                .find(|c| c.id == conn)
-                .map(|c| (c.dst_ip, c.dst_port));
-            found
-        };
+    fn apply_host_send(&self, app: AppId, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
+        let dst = self
+            .host_lock()
+            .connections_by(app)
+            .find(|c| c.id == conn)
+            .map(|c| (c.dst_ip, c.dst_port));
         let Some((dst_ip, dst_port)) = dst else {
-            return Err(ApiError::Switch(
-                sdnshield_openflow::messages::OfError::BadRequest(
-                    "unknown connection handle".into(),
-                ),
-            ));
+            return Err(ApiError::Switch(OfError::BadRequest(
+                "unknown connection handle".into(),
+            )));
         };
-        if self.checks_enabled {
-            let Some(engine) = self.engine_for(app) else {
-                return Err(ApiError::PermissionDenied {
-                    token: PermissionToken::HostNetwork,
-                    reason: sdnshield_core::engine::DenyReason::MissingToken,
-                });
-            };
-            let synthetic = ApiCall::new(app, ApiCallKind::HostConnect { dst_ip, dst_port });
-            let decision =
-                engine.check_with(&synthetic, self.context_epoch(), || self.tracker_read());
-            if let Decision::Denied { .. } = decision {
-                self.record_audit(
-                    app,
-                    "host_send",
-                    PermissionToken::HostNetwork,
-                    AuditOutcome::Denied,
-                );
-                return Err(ApiError::from_decision(decision));
-            }
-        }
+        // The decision is the one `host_connect` to this destination would
+        // get today, so it is checked — and traced — as that call.
+        let connect = ApiCall::new(app, ApiCallKind::HostConnect { dst_ip, dst_port });
+        let engine = self.checked_engine(app);
+        self.authorize(engine.as_deref(), &connect, "host_send", "deputy")?;
         self.host_lock().send(app, conn, data);
-        self.record_audit(
-            app,
-            "host_send",
-            PermissionToken::HostNetwork,
-            AuditOutcome::Allowed,
-        );
+        self.audit_outcome(app, "host_send", PermissionToken::HostNetwork, true);
         Ok(())
     }
 
@@ -1617,23 +1462,22 @@ impl Kernel {
     // The deterministic command pipeline (DESIGN.md §12).
     // ------------------------------------------------------------------
 
-    /// Attaches a command journal: every subsequent state-changing entry
-    /// point is reified as a [`Command`], applied and appended under the
-    /// commit lock. Attach AFTER any recovery replay has finished — replay
-    /// must never re-append the records it is consuming.
+    /// Attaches a command journal: every subsequent command is appended to
+    /// it, under the commit lock, right after it is applied. Attach AFTER
+    /// any recovery replay has finished — replay must never re-append the
+    /// records it is consuming.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
-        let _commit = self.commit.lock();
+        let mut commit = self.commit.lock();
         let seq = journal
             .last_seq()
             .max(self.last_applied.load(Ordering::SeqCst));
         self.last_applied.store(seq, Ordering::SeqCst);
-        *self.journal.lock() = Some(journal);
-        self.journal_attached.store(true, Ordering::Release);
+        *commit = Some(journal);
     }
 
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<Arc<Journal>> {
-        self.journal.lock().clone()
+        self.commit.lock().clone()
     }
 
     /// Sequence number of the last applied command (0 before any).
@@ -1657,52 +1501,47 @@ impl Kernel {
         self.sealed.load(Ordering::SeqCst)
     }
 
-    /// The single mutation seam, now a flat-combining group commit
-    /// (DESIGN.md §16): an uncontended submitter takes the commit lock and
-    /// applies inline, exactly like the pre-combining path. A contended
-    /// submitter publishes its command into the slot ring and parks; the
-    /// lock winner drains the ring and applies the whole batch under *one*
-    /// lock acquisition with *one* amortized journal group-append, then
-    /// hands each parked peer its `(CommandOutcome, events)` through its
-    /// slot. Journal order remains identical to commit order, and every
-    /// record's `audit_seq_after` watermark is still captured immediately
-    /// after that command's audit records land — per-record exact, not
-    /// batch-granular.
+    /// The single mutation seam, a flat-combining group commit (DESIGN.md
+    /// §16): an uncontended submitter takes the commit lock and applies
+    /// inline. A contended submitter publishes its command into the slot
+    /// ring and parks; the lock winner drains the ring and applies the
+    /// whole batch under *one* lock acquisition with *one* amortized
+    /// journal group-append, then hands each parked peer its
+    /// `(CommandOutcome, events)` through its slot. Journal order is
+    /// identical to commit order, and every record's `audit_seq_after`
+    /// watermark is captured immediately after that command's audit
+    /// records land — per-record exact, not batch-granular. A kernel with
+    /// no journal attached runs the same seam and appends nothing.
     pub fn submit(&self, cmd: Command) -> (CommandOutcome, Vec<OutboundEvent>) {
-        self.combiner.submitted.fetch_add(1, Ordering::Relaxed);
         // Uncontended fast path: win the lock outright and become the
-        // combiner for whatever contention arrives meanwhile.
-        if let Some(guard) = self.commit.try_lock() {
-            return self
-                .combine(guard, Some(cmd), None)
-                .expect("combiner always produces its own result");
-        }
-        // One yield, one retry, before committing to the slot protocol.
-        // On an oversubscribed host a failed try_lock usually means the
-        // holder was preempted mid-commit; handing it the core lets it
-        // finish, and the retry takes the fast path — skipping a slot
-        // publish and a cross-thread handoff for a one-syscall toll.
-        std::thread::yield_now();
-        if let Some(guard) = self.commit.try_lock() {
-            return self
-                .combine(guard, Some(cmd), None)
-                .expect("combiner always produces its own result");
-        }
-        let slot = Arc::new(SubmitSlot::new(cmd));
-        if self.submit_ring.push(Arc::clone(&slot)).is_err() {
-            // Ring full: fall back to blocking on the commit lock like the
-            // pre-combining path. The slot was never published, so the
-            // command is still ours to take back.
-            self.combiner.ring_fallbacks.fetch_add(1, Ordering::Relaxed);
-            let cmd = slot
-                .take_cmd()
-                .expect("unpublished slot still holds its command");
-            let guard = self.commit.lock();
-            return self
-                .combine(guard, Some(cmd), None)
-                .expect("combiner always produces its own result");
-        }
-        self.wait_or_combine(slot)
+        // combiner for whatever contention arrives meanwhile. One yield,
+        // one retry, before committing to the slot protocol: on an
+        // oversubscribed host a failed try_lock usually means the holder
+        // was preempted mid-commit; handing it the core lets it finish, and
+        // the retry takes the fast path — skipping a slot publish and a
+        // cross-thread handoff for a one-syscall toll.
+        let won = self.commit.try_lock().or_else(|| {
+            std::thread::yield_now();
+            self.commit.try_lock()
+        });
+        let (guard, cmd) = match won {
+            Some(guard) => (guard, cmd),
+            None => {
+                let slot = Arc::new(SubmitSlot::new(cmd));
+                if self.submit_ring.push(Arc::clone(&slot)).is_ok() {
+                    return self.wait_or_combine(slot);
+                }
+                // Ring full: fall back to blocking on the commit lock. The
+                // slot was never published, so the command is still ours.
+                self.combiner.ring_fallbacks.fetch_add(1, Ordering::Relaxed);
+                let cmd = slot
+                    .take_cmd()
+                    .expect("unpublished slot still holds its command");
+                (self.commit.lock(), cmd)
+            }
+        };
+        self.combine(guard, Some(cmd))
+            .expect("combiner always produces its own result")
     }
 
     /// A parked submitter's wait loop: take the result if a combiner left
@@ -1710,7 +1549,7 @@ impl Kernel {
     /// where every previous combiner drained *before* our slot landed in
     /// the ring), otherwise park briefly and re-check. The timeout bounds
     /// the cost of any lost-wakeup window to one park interval.
-    fn wait_or_combine(&self, slot: Arc<SubmitSlot>) -> (CommandOutcome, Vec<OutboundEvent>) {
+    fn wait_or_combine(&self, slot: Arc<SubmitSlot>) -> Submitted {
         let spin_budget = submit_spin_budget();
         let mut spins = 0u32;
         loop {
@@ -1718,7 +1557,8 @@ impl Kernel {
                 return done;
             }
             if let Some(guard) = self.commit.try_lock() {
-                if let Some(done) = self.combine(guard, None, Some(&slot)) {
+                self.combine(guard, None);
+                if let Some(done) = slot.try_take_done() {
                     return done;
                 }
                 // Our slot was claimed by a previous combiner that has not
@@ -1738,69 +1578,84 @@ impl Kernel {
         }
     }
 
-    /// The combiner: drains the slot ring behind `own_cmd` (if any) and
-    /// applies the whole batch under the held commit lock. Returns the
-    /// caller's own result — always `Some` when `own_cmd` was supplied;
-    /// when called with `own_slot` it is `Some` iff the slot's result
-    /// became available during this drain.
-    fn combine(
-        &self,
-        guard: MutexGuard<'_, ()>,
-        own_cmd: Option<Command>,
-        own_slot: Option<&Arc<SubmitSlot>>,
-    ) -> Option<(CommandOutcome, Vec<OutboundEvent>)> {
-        let had_own = own_cmd.is_some();
-        // Batch entries: `(slot, cmd)` in commit order — our own command
-        // first (it reached the lock first), then ring arrival order.
-        let mut batch: Vec<(Option<Arc<SubmitSlot>>, Option<Command>)> = Vec::new();
-        if let Some(cmd) = own_cmd {
-            batch.push((None, Some(cmd)));
-        }
-        while let Some(peer) = self.submit_ring.pop() {
+    /// Pops the next parked peer and takes its command.
+    fn pop_peer(&self) -> Option<BatchEntry> {
+        loop {
+            let peer = self.submit_ring.pop()?;
             if let Some(cmd) = peer.take_cmd() {
-                batch.push((Some(peer), Some(cmd)));
+                return Some((Some(peer), Some(cmd)));
             }
         }
-        if batch.is_empty() {
-            drop(guard);
-            return own_slot.and_then(|s| s.try_take_done());
+    }
+
+    /// Assigns the next commit sequence.
+    fn next_seq(&self) -> u64 {
+        let seq = self.last_applied.load(Ordering::SeqCst) + 1;
+        self.last_applied.store(seq, Ordering::SeqCst);
+        seq
+    }
+
+    /// Counts one non-empty drain of `n` commands.
+    fn count_drain(&self, n: usize, had_own: bool) {
+        let c = &self.combiner;
+        c.submitted.fetch_add(n as u64, Ordering::Relaxed);
+        if n > 1 {
+            c.batched.fetch_add(n as u64, Ordering::Relaxed);
+            c.batch_hist[hist_bucket(n)].fetch_add(1, Ordering::Relaxed);
+            c.max_batch.fetch_max(n as u64, Ordering::Relaxed);
         }
+        let peers = n - usize::from(had_own);
+        if peers > 0 {
+            c.combined.fetch_add(peers as u64, Ordering::Relaxed);
+        }
+    }
 
+    /// The combiner: drains the slot ring behind `own_cmd` (if any) and
+    /// applies the whole batch under the held commit lock, releasing it on
+    /// return. Returns the caller's own result — `Some` iff `own_cmd` was
+    /// supplied; a parked waiter that won the lock re-reads its slot.
+    fn combine(&self, guard: CommitGuard<'_>, own_cmd: Option<Command>) -> Option<Submitted> {
+        let had_own = own_cmd.is_some();
+        // Batch entries in commit order — our own command first (it reached
+        // the lock first), then ring arrival order.
+        let first = own_cmd
+            .map(|cmd| (None, Some(cmd)))
+            .or_else(|| self.pop_peer());
+        let (first, second) = (first?, self.pop_peer());
+        let Some(second) = second else {
+            // A drain of exactly one command — every call on a single-writer
+            // kernel, and a parked waiter serving itself — builds no batch.
+            let (peer, cmd) = first;
+            let out = self.commit_one(&guard, cmd.expect("undrained entry"), had_own);
+            return match peer {
+                Some(peer) => {
+                    peer.fulfill(out);
+                    None
+                }
+                None => Some(out),
+            };
+        };
+        let mut batch = vec![first, second];
+        while let Some(peer) = self.pop_peer() {
+            batch.push(peer);
+        }
         let n = batch.len();
-        self.combiner.drains.fetch_add(1, Ordering::Relaxed);
-        self.combiner
-            .combined
-            .fetch_add((n - usize::from(had_own)) as u64, Ordering::Relaxed);
-        self.combiner.batch_hist[hist_bucket(n)].fetch_add(1, Ordering::Relaxed);
-        self.combiner
-            .max_batch
-            .fetch_max(n as u64, Ordering::Relaxed);
+        self.count_drain(n, had_own);
 
-        let sealed = self.sealed.load(Ordering::SeqCst);
-        let journaling = self.journal_attached.load(Ordering::Acquire);
-        let mut results: Vec<Option<(CommandOutcome, Vec<OutboundEvent>)>> = Vec::new();
+        let mut results: Vec<Option<Submitted>> = Vec::new();
         results.resize_with(n, || None);
         let mut entries: Vec<(u64, u64, Command)> = Vec::new();
-
-        if sealed {
-            for (i, (_, cmd)) in batch.iter().enumerate() {
+        if self.sealed.load(Ordering::SeqCst) {
+            for ((_, cmd), result) in batch.iter().zip(&mut results) {
                 let cmd = cmd.as_ref().expect("unapplied entry holds its command");
-                results[i] = Some((CommandOutcome::sealed_for(cmd), Vec::new()));
+                *result = Some((CommandOutcome::sealed_for(cmd), Vec::new()));
             }
         } else {
-            self.apply_batch(&mut batch, journaling, &mut results, &mut entries);
+            self.apply_batch(&mut batch, guard.is_some(), &mut results, &mut entries);
         }
-
-        if !entries.is_empty() {
-            if let Some(journal) = self.journal.lock().as_ref() {
-                if entries.len() == 1 {
-                    // Uncontended drains keep the pre-combining single-record
-                    // append (no batch bookkeeping on the journal side).
-                    let (seq, seen, cmd) = entries.pop().expect("length checked");
-                    journal.append(seq, seen, cmd);
-                } else {
-                    journal.append_batch(entries);
-                }
+        if let Some(journal) = guard.as_ref() {
+            if !entries.is_empty() {
+                journal.append_batch(entries);
             }
         }
         // Fulfill parked peers *before* releasing the commit lock: seal()'s
@@ -1814,11 +1669,22 @@ impl Kernel {
                 None => own_result = Some(result),
             }
         }
-        drop(guard);
-        match own_slot {
-            Some(slot) => slot.try_take_done(),
-            None => own_result,
+        own_result
+    }
+
+    /// Commits a single command under the held lock: apply, sequence, and
+    /// one single-record journal append.
+    fn commit_one(&self, commit: &CommitGuard<'_>, cmd: Command, own: bool) -> Submitted {
+        self.count_drain(1, own);
+        if self.sealed.load(Ordering::SeqCst) {
+            return (CommandOutcome::sealed_for(&cmd), Vec::new());
         }
+        let out = self.apply_command(&cmd);
+        let seq = self.next_seq();
+        if let Some(journal) = commit.as_ref() {
+            journal.append(seq, self.audit.seen(), cmd);
+        }
+        out
     }
 
     /// Applies a drained batch in commit order. Contiguous runs of
@@ -1828,9 +1694,9 @@ impl Kernel {
     /// own audit records land, keeping per-record watermarks exact.
     fn apply_batch(
         &self,
-        batch: &mut [(Option<Arc<SubmitSlot>>, Option<Command>)],
+        batch: &mut [BatchEntry],
         journaling: bool,
-        results: &mut [Option<(CommandOutcome, Vec<OutboundEvent>)>],
+        results: &mut [Option<Submitted>],
         entries: &mut Vec<(u64, u64, Command)>,
     ) {
         let lanes = self.lanes.lock();
@@ -1840,31 +1706,16 @@ impl Kernel {
             // Open a lane-parallel run at `i` when lanes are configured and
             // at least two consecutive entries are eligible.
             if let Some(pool) = lanes.as_ref() {
-                let mut plans = Vec::new();
-                let mut j = i;
-                while j < n {
-                    let cmd = batch[j].1.as_ref().expect("unapplied entry");
-                    match self.lane_plan(cmd) {
-                        Some(p) => {
-                            plans.push(p);
-                            j += 1;
-                        }
-                        None => break,
-                    }
-                }
+                let plans: Vec<FlowLanePlan<'_>> = batch[i..]
+                    .iter()
+                    .map_while(|(_, cmd)| self.lane_plan(cmd.as_ref().expect("unapplied entry")))
+                    .collect();
                 if plans.len() >= 2 {
-                    let outs = self.apply_flow_run(pool, &batch[i..j], plans);
-                    for (k, out) in outs.into_iter().enumerate() {
-                        let idx = i + k;
-                        self.finish_entry(
-                            &mut batch[idx],
-                            out,
-                            journaling,
-                            &mut results[idx],
-                            entries,
-                        );
+                    let outs = self.apply_flow_run(pool, plans);
+                    for out in outs {
+                        self.finish_entry(&mut batch[i], out, journaling, &mut results[i], entries);
+                        i += 1;
                     }
-                    i = j;
                     continue;
                 }
             }
@@ -1880,14 +1731,13 @@ impl Kernel {
     /// its result.
     fn finish_entry(
         &self,
-        entry: &mut (Option<Arc<SubmitSlot>>, Option<Command>),
-        out: (CommandOutcome, Vec<OutboundEvent>),
+        entry: &mut BatchEntry,
+        out: Submitted,
         journaling: bool,
-        result: &mut Option<(CommandOutcome, Vec<OutboundEvent>)>,
+        result: &mut Option<Submitted>,
         entries: &mut Vec<(u64, u64, Command)>,
     ) {
-        let seq = self.last_applied.load(Ordering::SeqCst) + 1;
-        self.last_applied.store(seq, Ordering::SeqCst);
+        let seq = self.next_seq();
         if journaling {
             let cmd = entry.1.take().expect("entry journaled once");
             entries.push((seq, self.audit.seen(), cmd));
@@ -1897,11 +1747,13 @@ impl Kernel {
 
     /// Is this command eligible for the single-writer switch lanes? Only a
     /// plain flow-mod call whose permission decision is a pure function of
-    /// the call itself (call-only plan — or checks disabled) and whose app
-    /// has no virtual topology qualifies; anything else closes the run and
-    /// applies serially. Returns the fully precomputed plan so the run
-    /// applier never re-decides.
-    fn lane_plan(&self, cmd: &Command) -> Option<FlowLanePlan> {
+    /// the call itself (call-only plan, unregistered app, or checks
+    /// disabled) and whose app has no virtual topology qualifies; anything
+    /// else closes the run and applies serially. Returns the fully
+    /// precomputed plan so the run applier never re-decides. Side-effect
+    /// free: a run shorter than two discards its plan and the serial path
+    /// decides again.
+    fn lane_plan<'a>(&self, cmd: &'a Command) -> Option<FlowLanePlan<'a>> {
         let Command::Call(call) = cmd else {
             return None;
         };
@@ -1913,55 +1765,36 @@ impl Kernel {
         if self.vtopo_for(call.app).is_some() {
             return None;
         }
-        let denied = if self.checks_enabled {
-            // A missing engine takes the serial path (it audits nothing);
-            // a stateful decision plan also bails — the deputy path decides
-            // those against a live tracker view.
-            let engine = self.engine_for(call.app)?;
-            let decision = engine.check_call_only(call, self.context_epoch())?;
-            match decision {
-                Decision::Denied { .. } => Some(ApiError::from_decision(decision)),
-                _ => None,
-            }
-        } else {
-            None
-        };
-        let stamped = denied.is_none().then(|| stamp_cookie(call.app, flow_mod));
+        // A stateful decision plan bails — the serial path decides those
+        // against a live tracker view.
+        let engine = self.checked_engine(call.app);
+        let decision = self.decide(engine.as_deref(), call, false)?;
+        let stamped = decision
+            .is_allowed()
+            .then(|| stamp_cookie(call.app, flow_mod));
         Some(FlowLanePlan {
-            app: call.app,
-            kind_name: call.kind.name(),
-            token: call.required_token(),
+            call,
             dpid,
+            decision,
             stamped,
-            denied,
         })
     }
 
     /// Applies one lane-parallel run: switch mutations fan out to each
     /// dpid's home lane (same-dpid order preserved by lane FIFO), then
-    /// ownership records, audit records, and outcomes are produced in the
-    /// run's original commit order — byte-for-byte the artifacts the serial
-    /// path would have produced, in the same per-command order. The RCU
-    /// switch views touched by the run are republished once at the end of
-    /// the group instead of per op.
-    fn apply_flow_run(
-        &self,
-        pool: &LanePool,
-        run: &[(Option<Arc<SubmitSlot>>, Option<Command>)],
-        plans: Vec<FlowLanePlan>,
-    ) -> Vec<(CommandOutcome, Vec<OutboundEvent>)> {
+    /// ownership records, decision traces, audit records, and outcomes are
+    /// produced in the run's original commit order — byte-for-byte the
+    /// artifacts the serial path would have produced, in the same
+    /// per-command order. The RCU switch views touched by the run are
+    /// republished once at the end of the group instead of per op.
+    fn apply_flow_run(&self, pool: &LanePool, plans: Vec<FlowLanePlan<'_>>) -> Vec<Submitted> {
         let n = plans.len();
         self.combiner.lane_runs.fetch_add(1, Ordering::Relaxed);
-        // Phase 1: traces in commit order (decisions were precomputed —
-        // call-only plans are pure functions of the call), allowed mods
-        // dispatched to their home lanes.
+        // Phase 1: allowed mods dispatched to their home lanes.
         let mut applied: Vec<Option<LaneApply>> = Vec::new();
         applied.resize_with(n, || None);
         let mut jobs = 0usize;
         for (k, plan) in plans.iter().enumerate() {
-            if let Some(Command::Call(call)) = run[k].1.as_ref() {
-                self.trace_decision(call, plan.denied.is_none(), "deputy");
-            }
             if let Some(stamped) = plan.stamped.as_ref() {
                 pool.dispatch(k, plan.dpid, stamped.clone());
                 jobs += 1;
@@ -1978,43 +1811,35 @@ impl Kernel {
         // Phase 3a: ownership records for successful mods, in commit order,
         // under one tracker write acquisition (amortizing the write lock
         // the serial path takes once per mod).
-        let any_ok = plans
-            .iter()
-            .zip(&applied)
-            .any(|(p, a)| p.stamped.is_some() && matches!(a, Some(Ok(_))));
+        let any_ok = applied.iter().any(|a| matches!(a, Some(Ok(_))));
         if any_ok {
             self.tracker_mut(|t| {
                 for (plan, outcome) in plans.iter().zip(&applied) {
                     if let (Some(stamped), Some(Ok(_))) = (plan.stamped.as_ref(), outcome) {
-                        t.record_flow_mod(plan.app, plan.dpid, stamped);
+                        t.record_flow_mod(plan.call.app, plan.dpid, stamped);
                     }
                 }
             });
         }
-        // Phase 3b: audits + outcomes in commit order. The per-command
-        // audit stream is exactly what the serial path emits.
+        // Phase 3b: the shared admit and audit-outcome steps in commit
+        // order — exactly the trace and audit streams the serial path emits.
         let mut outs = Vec::with_capacity(n);
         let mut touched: Vec<DatapathId> = Vec::new();
         for (plan, outcome) in plans.into_iter().zip(applied) {
-            if let Some(denied) = plan.denied {
-                self.record_audit(plan.app, plan.kind_name, plan.token, AuditOutcome::Denied);
+            let (call, op) = (plan.call, plan.call.kind.name());
+            if let Err(denied) = self.admit(call, op, "deputy", plan.decision) {
                 outs.push((CommandOutcome::Api(Err(denied)), Vec::new()));
                 continue;
             }
-            match outcome.expect("allowed plan was dispatched") {
+            let (result, events) = match outcome.expect("allowed plan was dispatched") {
                 Ok(removed) => {
                     touched.push(plan.dpid);
-                    self.record_audit(plan.app, plan.kind_name, plan.token, AuditOutcome::Allowed);
-                    outs.push((
-                        CommandOutcome::Api(Ok(ApiResponse::Unit)),
-                        removed_events(plan.dpid, &removed),
-                    ));
+                    (Ok(ApiResponse::Unit), removed_events(plan.dpid, &removed))
                 }
-                Err(e) => {
-                    self.record_audit(plan.app, plan.kind_name, plan.token, AuditOutcome::Failed);
-                    outs.push((CommandOutcome::Api(Err(ApiError::Switch(e))), Vec::new()));
-                }
-            }
+                Err(e) => (Err(ApiError::Switch(e)), Vec::new()),
+            };
+            self.audit_outcome(call.app, op, call.required_token(), result.is_ok());
+            outs.push((CommandOutcome::Api(result), events));
         }
         // Batched RCU republish: one view rebuild per touched switch per
         // drained group, so trailing readers don't each pay the rebuild.
@@ -2038,13 +1863,21 @@ impl Kernel {
         for (slot, counter) in batch_hist.iter_mut().zip(&c.batch_hist) {
             *slot = counter.load(Ordering::Relaxed);
         }
+        // Saturating: a drain racing this snapshot may be half-counted.
+        let submitted = c.submitted.load(Ordering::Relaxed);
+        batch_hist[0] = submitted.saturating_sub(c.batched.load(Ordering::Relaxed));
         CombinerStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            drains: c.drains.load(Ordering::Relaxed),
+            submitted,
+            // Every non-empty drain lands in exactly one histogram bucket.
+            drains: batch_hist.iter().sum(),
             combined: c.combined.load(Ordering::Relaxed),
             ring_fallbacks: c.ring_fallbacks.load(Ordering::Relaxed),
             batch_hist,
-            max_batch: c.max_batch.load(Ordering::Relaxed),
+            // The counter only sees batches of two or more.
+            max_batch: c
+                .max_batch
+                .load(Ordering::Relaxed)
+                .max(batch_hist[0].min(1)),
             ring_depth: self.submit_ring.len(),
             ring_capacity: self.submit_ring.capacity(),
             lane_jobs: c.lane_jobs.load(Ordering::Relaxed),
@@ -2054,10 +1887,12 @@ impl Kernel {
         }
     }
 
-    /// Dispatches a command to its (unjournaled) handler. Pure function of
-    /// kernel state plus the command: no wall clock, no randomness — the
-    /// determinism the whole recovery story rests on.
-    fn apply_command(&self, cmd: &Command) -> (CommandOutcome, Vec<OutboundEvent>) {
+    /// Applies one command — the only way kernel state changes. Pure
+    /// function of kernel state plus the command: no wall clock, no
+    /// randomness — the determinism the whole recovery story rests on.
+    /// Callers hold the commit lock.
+    fn apply_command(&self, cmd: &Command) -> Submitted {
+        let ack = |events| (CommandOutcome::Ack(Ok(())), events);
         match cmd {
             Command::RegisterApp {
                 app,
@@ -2069,21 +1904,16 @@ impl Kernel {
                         // Lint per the (snapshot-restored) runtime flag, so
                         // replaying a lint-rejected registration re-derives
                         // the same rejection.
-                        let lint = self
-                            .lint_on_register
-                            .load(std::sync::atomic::Ordering::SeqCst);
-                        self.register_app_unjournaled(*app, name, &set, manifest, lint)
+                        let lint = self.lint_on_register.load(Ordering::SeqCst);
+                        self.apply_register(*app, name, &set, manifest, lint)
                     }
                     Err(e) => Err(ApiError::ManifestRejected(e.to_string())),
                 };
                 (CommandOutcome::Ack(result), Vec::new())
             }
-            Command::DeregisterApp { app } => {
-                let events = self.deregister_app_unjournaled(*app);
-                (CommandOutcome::Ack(Ok(())), events)
-            }
+            Command::DeregisterApp { app } => ack(self.apply_deregister(*app)),
             Command::Call(call) => {
-                let (result, events) = self.execute_unjournaled(call);
+                let (result, events) = self.apply_call(call);
                 (CommandOutcome::Api(result), events)
             }
             Command::Transaction { app, ops } => {
@@ -2095,32 +1925,46 @@ impl Kernel {
                 (CommandOutcome::Api(result), events)
             }
             Command::PacketOuts { app, outs } => {
-                let (result, events) = self.execute_packet_outs_unjournaled(*app, outs);
+                let (result, events) = self.apply_packet_outs(*app, outs);
                 (CommandOutcome::Count(result), events)
             }
             Command::HostSend { app, conn, data } => {
-                let result = self.host_send_unjournaled(*app, ConnId(*conn), data.clone());
+                let result = self.apply_host_send(*app, ConnId(*conn), data.clone());
                 (CommandOutcome::Ack(result), Vec::new())
             }
             Command::SubscribeTopic { app, topic } => {
-                self.subscribe_topic_unjournaled(*app, topic);
-                (CommandOutcome::Ack(Ok(())), Vec::new())
+                let mut subs = self.subs_write();
+                let subs = subs.custom.entry(topic.clone()).or_default();
+                if !subs.contains(app) {
+                    subs.push(*app);
+                }
+                ack(Vec::new())
             }
-            Command::AdvanceClock { secs } => (
-                CommandOutcome::Ack(Ok(())),
-                self.advance_clock_unjournaled(*secs),
-            ),
+            Command::AdvanceClock { secs } => ack(self.expire(self.network.advance_clock(*secs))),
             Command::FailLink { a, b } => {
-                let ev = self.fail_link_unjournaled(*a, *b);
-                (CommandOutcome::Ack(Ok(())), ev.into_iter().collect())
+                let failed = self.network.with_topology_mut(|t| t.remove_link(*a, *b));
+                ack(failed
+                    .then(|| OutboundEvent {
+                        event: Event::TopologyChanged {
+                            description: format!("link {a} <-> {b} failed"),
+                        },
+                    })
+                    .into_iter()
+                    .collect())
             }
-            Command::InjectHostFrame { frame } => (
-                CommandOutcome::Ack(Ok(())),
-                self.inject_host_frame_unjournaled(frame.clone()),
-            ),
+            Command::InjectHostFrame { frame } => {
+                ack(match self.network.inject_from_host(frame.clone()) {
+                    Ok(deliveries) => self.absorb_deliveries(deliveries),
+                    Err(_) => Vec::new(),
+                })
+            }
             Command::RecordPktIns { grants } => {
-                self.record_pkt_ins_unjournaled(grants);
-                (CommandOutcome::Ack(Ok(())), Vec::new())
+                self.tracker_mut(|tracker| {
+                    for (app, payload) in grants {
+                        tracker.record_pkt_in(*app, payload);
+                    }
+                });
+                ack(Vec::new())
             }
         }
     }
@@ -2274,7 +2118,7 @@ impl Kernel {
         // the crash.
         for (app, name, text) in &snapshot.apps {
             if let Ok(set) = sdnshield_core::lang::parse_manifest(text) {
-                let _ = kernel.register_app_unjournaled(*app, name, &set, text, false);
+                let _ = kernel.apply_register(*app, name, &set, text, false);
             }
         }
         kernel
@@ -2338,8 +2182,8 @@ impl Kernel {
         kernel
     }
 
-    /// Applies an already-authorized call.
-    fn apply(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
+    /// Performs an already-authorized call.
+    fn perform(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
         let app = call.app;
         match &call.kind {
             ApiCallKind::ReadFlowTable { dpid, query } => {
@@ -2899,11 +2743,120 @@ mod tests {
         assert_eq!(kernel.app_name(AppId(1)).as_deref(), Some("legacy-app"));
     }
 
+    fn out(port: u16) -> (DatapathId, PacketOut) {
+        let packet_out = PacketOut {
+            buffer_id: sdnshield_openflow::types::BufferId::NO_BUFFER,
+            in_port: PortNo(1),
+            actions: ActionList::output(PortNo(port)),
+            payload: Bytes::from_static(b"x"),
+        };
+        (DatapathId(1), packet_out)
+    }
+
     #[test]
     fn unregistered_app_denied() {
         let kernel = Kernel::new(Network::new(builders::linear(2), 64), true);
-        let (res, _) = kernel.execute(&insert(AppId(9), 1, 80));
+        kernel.enable_decision_trace();
+        let ghost = AppId(9);
+        let (res, _) = kernel.execute(&insert(ghost, 1, 80));
         assert!(res.unwrap_err().is_denied());
+        let op = FlowOp {
+            dpid: DatapathId(1),
+            flow_mod: FlowMod::add(
+                FlowMatch::default().with_tp_dst(81),
+                Priority(10),
+                ActionList::output(PortNo(1)),
+            ),
+        };
+        let (res, _) = kernel.execute_transaction(ghost, &[op]);
+        assert!(matches!(res, Err(ApiError::PermissionDenied { .. })));
+        let (res, _) = kernel.execute_packet_outs(ghost, &[out(1), out(2)]);
+        assert!(matches!(res, Err(ApiError::PermissionDenied { .. })));
+        assert_eq!(kernel.flow_count(DatapathId(1)), 0);
+        // Every one of the three denials is on the audit trail...
+        let audit = kernel.audit_records();
+        let ops: Vec<&str> = audit.iter().map(|r| r.operation.as_str()).collect();
+        assert_eq!(ops, ["insert_flow", "transaction", "send_packet_out"]);
+        assert!(audit
+            .iter()
+            .all(|r| r.app == ghost && r.outcome == AuditOutcome::Denied));
+        // ...and in the decision trace `shieldcheck certify` reads.
+        let lanes: Vec<(String, bool)> = kernel
+            .take_decision_trace()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                sdnshield_core::trace::TraceEvent::Decision { lane, allowed, .. } => {
+                    Some((lane, allowed))
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            lanes,
+            [
+                ("deputy".to_owned(), false),
+                ("batch".to_owned(), false),
+                ("vectored".to_owned(), false)
+            ]
+        );
+    }
+
+    #[test]
+    fn host_send_decisions_are_traced_and_audited() {
+        let (kernel, app) = kernel_with("PERM network_access");
+        let (res, _) = kernel.execute(&ApiCall::new(
+            app,
+            ApiCallKind::HostConnect {
+                dst_ip: Ipv4::new(8, 8, 8, 8),
+                dst_port: 80,
+            },
+        ));
+        let ApiResponse::Connection(conn) = res.unwrap() else {
+            panic!("expected connection")
+        };
+        kernel.enable_decision_trace();
+        kernel
+            .host_send(app, conn, Bytes::from_static(b"hello"))
+            .unwrap();
+        // Narrow the grant after connect: the open handle stops working.
+        let narrowed =
+            parse_manifest("PERM network_access LIMITING IP_DST 10.0.0.0 MASK 255.0.0.0").unwrap();
+        kernel.register_app(app, "test", &narrowed).unwrap();
+        let err = kernel
+            .host_send(app, conn, Bytes::from_static(b"again"))
+            .unwrap_err();
+        assert!(err.is_denied());
+        assert_eq!(kernel.bytes_exfiltrated_by(app), 5);
+        let decisions: Vec<(String, bool, ApiCallKind)> = kernel
+            .take_decision_trace()
+            .into_iter()
+            .filter_map(|ev| match ev {
+                sdnshield_core::trace::TraceEvent::Decision {
+                    lane,
+                    allowed,
+                    call,
+                } => Some((lane, allowed, call.kind)),
+                _ => None,
+            })
+            .collect();
+        let connect = ApiCallKind::HostConnect {
+            dst_ip: Ipv4::new(8, 8, 8, 8),
+            dst_port: 80,
+        };
+        assert_eq!(
+            decisions,
+            [
+                ("deputy".to_owned(), true, connect.clone()),
+                ("deputy".to_owned(), false, connect)
+            ]
+        );
+        let sends: Vec<AuditOutcome> = kernel
+            .audit_records()
+            .into_iter()
+            .filter(|r| r.operation == "host_send")
+            .map(|r| r.outcome)
+            .collect();
+        assert_eq!(sends, [AuditOutcome::Allowed, AuditOutcome::Denied]);
     }
 
     #[test]

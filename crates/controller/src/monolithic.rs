@@ -4,7 +4,10 @@
 //! Apps share the caller's thread, API calls execute directly with no
 //! permission checks, and events dispatch by plain function call — the
 //! architecture whose lack of isolation motivates SDNShield. The same
-//! [`App`] implementations run unchanged on both controllers.
+//! [`App`] implementations run unchanged on both controllers, and both
+//! mutate the network through the same kernel seam
+//! ([`Kernel::submit`]): the baseline is that seam with checks off, not a
+//! second write path.
 //!
 //! Deliberately absent: panic containment. A crashing app unwinds through
 //! the controller itself — exactly the monolithic fragility the paper's

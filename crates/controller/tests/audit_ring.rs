@@ -255,6 +255,12 @@ fn promote_preserves_audit_trail_across_failover() {
         })
         .collect();
 
+    // The failover must land mid-storm: wait for the first acknowledgment,
+    // or a slow-starting storm finds the primary already sealed and its
+    // log (asserted non-empty below) never gets a record.
+    while acked.lock().unwrap().is_empty() {
+        std::thread::yield_now();
+    }
     for _ in 0..5 {
         standby.catch_up();
         std::thread::yield_now();

@@ -1,30 +1,31 @@
 //! Multi-threaded kernel invariants under deputy contention: 8 threads
-//! hammering the decomposed kernel must lose no flows and keep the audit
-//! sequence monotone and complete, whether the threads work disjoint
-//! switches (no shared shard) or overlap on one switch (full contention).
+//! hammering the kernel must lose no flows and keep the audit sequence
+//! monotone and complete, whether the threads work disjoint switches (no
+//! shared shard) or overlap on one switch (full contention). On a kernel
+//! with **no journal attached**, racing inserts never overshoot a rule quota
+//! and a snapshot never cuts a transaction in half — check and apply are one
+//! step at the mutation seam (DESIGN.md §6).
 //!
 //! The `#[ignore]`d tier-2 test at the bottom asserts the paper's §IX-B2
-//! scaling claim end-to-end (≥1.5× throughput from 1 → 4 deputies); it needs
-//! real hardware parallelism, so it does not run in single-core CI.
+//! scaling claim on the mixed workload (≥1.5× throughput from 1 → 4
+//! deputies); it needs real hardware parallelism, so it does not run in
+//! single-core CI.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use sdnshield_controller::app::{App, AppCtx};
-use sdnshield_controller::events::Event;
-use sdnshield_controller::isolation::{ControllerConfig, ShieldedController};
 use sdnshield_controller::journal::Journal;
 use sdnshield_controller::kernel::Kernel;
-use sdnshield_core::api::{ApiCall, ApiCallKind, AppId, EventKind};
+use sdnshield_controller::FlowOp;
+use sdnshield_core::api::{ApiCall, ApiCallKind, AppId};
 use sdnshield_core::lang::parse_manifest;
 use sdnshield_netsim::network::Network;
 use sdnshield_netsim::topology::builders;
 use sdnshield_openflow::actions::ActionList;
 use sdnshield_openflow::flow_match::FlowMatch;
-use sdnshield_openflow::messages::{
-    FlowMod, FlowModCommand, PacketIn, PacketInReason, StatsRequest,
-};
-use sdnshield_openflow::types::{BufferId, DatapathId, PortNo, Priority};
+use sdnshield_openflow::messages::{FlowMod, FlowModCommand, StatsRequest};
+use sdnshield_openflow::types::{DatapathId, PortNo, Priority};
 
 const THREADS: usize = 8;
 const CALLS_PER_THREAD: usize = 250;
@@ -172,91 +173,93 @@ fn mixed_readers_and_writers_stay_consistent() {
     assert_audit_complete(&kernel, (THREADS * CALLS_PER_THREAD) as u64);
 }
 
-/// One flow insertion per packet-in — the end-to-end scaling workload.
-struct Inserter {
-    counter: u16,
-}
-
-impl App for Inserter {
-    fn name(&self) -> &str {
-        "inserter"
-    }
-
-    fn on_start(&mut self, ctx: &AppCtx) {
-        ctx.subscribe(EventKind::PacketIn).expect("subscribe");
-    }
-
-    fn on_event(&mut self, ctx: &AppCtx, event: &Event) {
-        let Event::PacketIn { dpid, .. } = event else {
-            return;
-        };
-        self.counter = self.counter.wrapping_add(1);
-        let fm = FlowMod::add(
-            FlowMatch::default().with_tp_dst(1 + (self.counter % 1024)),
-            Priority(100),
-            ActionList::output(PortNo(1)),
-        );
-        let _ = ctx.insert_flow(*dpid, fm);
-    }
-}
-
-fn end_to_end_throughput(deputies: usize, events: usize) -> f64 {
-    let c = ShieldedController::new_with_config(
-        Network::new(builders::linear(4), 1_000_000),
-        ControllerConfig {
-            num_deputies: deputies,
-            app_queue_capacity: events + 64,
-            ..ControllerConfig::default()
-        },
-    );
-    let manifest = parse_manifest("PERM pkt_in_event\nPERM insert_flow").unwrap();
-    for _ in 0..4 {
-        c.register(Box::new(Inserter { counter: 0 }), &manifest)
-            .unwrap();
-    }
-    let mk_pi = |i: usize| PacketIn {
-        buffer_id: BufferId::NO_BUFFER,
-        in_port: PortNo(1),
-        reason: PacketInReason::NoMatch,
-        payload: bytes::Bytes::from(vec![i as u8; 8]),
-    };
-    // Warmup.
-    for i in 0..32 {
-        c.deliver_packet_in_nowait(DatapathId(i % 4 + 1), mk_pi(i as usize));
-    }
-    c.quiesce();
-    let t = Instant::now();
-    for i in 0..events {
-        c.deliver_packet_in_nowait(DatapathId((i % 4) as u64 + 1), mk_pi(i));
-    }
-    c.quiesce();
-    let elapsed = t.elapsed().as_secs_f64();
-    c.shutdown();
-    events as f64 / elapsed
-}
-
-/// Tier-2 (run explicitly with `cargo test -- --ignored` on a multi-core
-/// host): the sharded kernel must scale end-to-end event throughput by
-/// ≥1.5× from 1 to 4 deputies. Meaningless on single-core CI runners —
-/// threads cannot run concurrently there — hence ignored by default.
+/// Four threads that share one app identity (an app that cloned its
+/// `AppCtx` across threads) race for the last slot of a `MAX_RULE_COUNT`
+/// quota, released together by a barrier. Check-then-apply under separate
+/// locks would let several of them pass the check before any applies.
 #[test]
-#[ignore = "tier-2 scaling assertion; needs >= 4 hardware threads"]
-fn four_deputies_beat_one_by_1_5x() {
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    assert!(
-        parallelism >= 4,
-        "host has {parallelism} hardware threads; scaling cannot materialize"
-    );
-    let events = 2_000;
-    let one = end_to_end_throughput(1, events);
-    let four = end_to_end_throughput(4, events);
-    assert!(
-        four >= 1.5 * one,
-        "4 deputies: {four:.0} ev/s, 1 deputy: {one:.0} ev/s — speedup {:.2}x < 1.5x",
-        four / one
-    );
+fn racing_inserts_never_overshoot_the_rule_quota() {
+    const QUOTA: usize = 4;
+    const RACERS: usize = 4;
+    let app = AppId(1);
+    let dpid = DatapathId(1);
+    let manifest =
+        parse_manifest(&format!("PERM insert_flow LIMITING MAX_RULE_COUNT {QUOTA}")).unwrap();
+    for round in 0..200 {
+        let kernel = Kernel::new(Network::new(builders::linear(2), 1024), true);
+        kernel.register_app(app, "racer", &manifest).unwrap();
+        for i in 0..QUOTA - 1 {
+            kernel.execute(&insert(app, dpid, i as u16 + 1)).0.unwrap();
+        }
+        let start = Barrier::new(RACERS);
+        let wins: usize = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..RACERS)
+                .map(|t| {
+                    let (kernel, start) = (&kernel, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let (res, _) = kernel.execute(&insert(app, dpid, 100 + t as u16));
+                        usize::from(res.is_ok())
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).sum()
+        });
+        assert_eq!(wins, 1, "round {round}: one free slot, {wins} winners");
+        assert_eq!(kernel.flow_count(dpid), QUOTA, "round {round}");
+    }
+}
+
+/// A writer loops a 16-op insert transaction and its 16-op strict delete
+/// while the main thread takes snapshots: every cut holds all of the
+/// transaction or none of it.
+#[test]
+fn snapshots_never_cut_a_transaction_in_half() {
+    const OPS: u16 = 16;
+    let app = AppId(1);
+    let dpid = DatapathId(1);
+    let kernel = Kernel::new(Network::new(builders::linear(2), 1024), true);
+    let manifest = parse_manifest("PERM insert_flow\nPERM delete_flow").unwrap();
+    kernel.register_app(app, "writer", &manifest).unwrap();
+    let ops = |command: FlowModCommand| -> Vec<FlowOp> {
+        (1..=OPS)
+            .map(|tp| {
+                let mut flow_mod = FlowMod::add(
+                    FlowMatch::default().with_tp_dst(tp),
+                    Priority(100),
+                    ActionList::output(PortNo(1)),
+                );
+                flow_mod.command = command;
+                FlowOp { dpid, flow_mod }
+            })
+            .collect()
+    };
+    let (adds, deletes) = (ops(FlowModCommand::Add), ops(FlowModCommand::DeleteStrict));
+    let started = Barrier::new(2);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            started.wait();
+            while !stop.load(Ordering::SeqCst) {
+                kernel.execute_transaction(app, &adds).0.unwrap();
+                kernel.execute_transaction(app, &deletes).0.unwrap();
+            }
+        });
+        started.wait();
+        for cut in 0..2000 {
+            let snap = kernel.snapshot();
+            let entries = snap
+                .switches
+                .iter()
+                .find(|sw| sw.dpid == dpid)
+                .map_or(0, |sw| sw.entries.len());
+            if entries != 0 && entries != OPS as usize {
+                stop.store(true, Ordering::SeqCst);
+                panic!("cut {cut} saw {entries} of {OPS} entries: a half-applied transaction");
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
 }
 
 /// The i-th call of the fig9 mixed workload: 4 inserts, 2 flow-table reads,
@@ -361,8 +364,9 @@ fn group_commit_kernel() -> (Arc<Kernel>, Vec<AppId>, Arc<Journal>) {
     (kernel, apps, journal)
 }
 
-/// Tier-2 companion to [`four_deputies_beat_one_by_1_5x`] for the *mixed*
-/// read/write workload, measured on the production write pipeline: a
+/// Tier-2 (run explicitly with `cargo test -- --ignored` on a multi-core
+/// host) scaling gate for the *mixed* read/write workload, measured on the
+/// production write pipeline: a
 /// journaled kernel whose contended submits run the flat-combining group
 /// commit (batched journal appends, single-writer switch lanes) while the
 /// 3-in-8 read calls ride the lock-free RCU fast lane. This is the fig9

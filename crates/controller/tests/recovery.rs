@@ -22,10 +22,11 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
+use sdnshield_controller::audit::AuditOutcome;
 use sdnshield_controller::isolation::{ControllerConfig, ShieldedController, WarmStandby};
 use sdnshield_controller::journal::{Journal, JournalFaults};
 use sdnshield_controller::kernel::Kernel;
-use sdnshield_controller::{ApiError, ApiResponse, KernelSnapshot};
+use sdnshield_controller::{ApiError, ApiResponse, FlowOp, KernelSnapshot};
 use sdnshield_core::api::{ApiCall, ApiCallKind, AppId};
 use sdnshield_core::lang::parse_manifest;
 use sdnshield_core::perm::PermissionSet;
@@ -464,7 +465,17 @@ fn replayed_commands_are_retagged_and_cursors_survive() {
         let _ = live.execute(&insert_call(PRIV, tp, 100, 0, 1));
     }
     let _ = live.execute(&insert_call(UNPRIV, 9, 1, 0, 1)); // denied, audited
-                                                            // A forensic consumer has read everything up to the crash.
+    let denied_op = FlowOp {
+        dpid: DatapathId(1),
+        flow_mod: FlowMod::add(
+            FlowMatch::default().with_tp_dst(10),
+            Priority(1),
+            ActionList::output(PortNo(1)),
+        ),
+    };
+    let (res, _) = live.execute_transaction(UNPRIV, &[denied_op]); // denied as a group
+    assert!(res.unwrap_err().is_denied());
+    // A forensic consumer has read everything up to the crash.
     let cursor = live
         .audit_records_since(0)
         .last()
@@ -500,6 +511,9 @@ fn replayed_commands_are_retagged_and_cursors_survive() {
     assert!(replayed
         .iter()
         .any(|r| r.app == UNPRIV && r.operation == "replay:insert_flow"));
+    assert!(replayed.iter().any(|r| r.app == UNPRIV
+        && r.operation == "replay:transaction"
+        && r.outcome == AuditOutcome::Denied));
 }
 
 #[test]

@@ -236,6 +236,11 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::thread;
 
+    /// The epoch and participant registry are process-global, so a test
+    /// that pins perturbs every other test's reclamation counts: each
+    /// test holds this for its whole body.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
     struct Counted {
         a: u64,
         b: u64,
@@ -258,6 +263,7 @@ mod tests {
 
     #[test]
     fn store_then_load_sees_new_value() {
+        let _serial = lock(&SERIAL);
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(counted(1, &drops));
         cell.store(counted(2, &drops));
@@ -269,6 +275,7 @@ mod tests {
 
     #[test]
     fn unpinned_retirees_are_reclaimed() {
+        let _serial = lock(&SERIAL);
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(counted(0, &drops));
         for i in 1..=10 {
@@ -284,6 +291,7 @@ mod tests {
 
     #[test]
     fn pinned_reader_blocks_reclamation() {
+        let _serial = lock(&SERIAL);
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = RcuCell::new(counted(1, &drops));
         let g = pin();
@@ -300,6 +308,7 @@ mod tests {
 
     #[test]
     fn nested_pins_share_the_outer_epoch() {
+        let _serial = lock(&SERIAL);
         let cell = RcuCell::new(Arc::new(7u64));
         let outer = pin();
         let inner = pin();
@@ -312,6 +321,7 @@ mod tests {
 
     #[test]
     fn concurrent_readers_never_observe_torn_snapshots() {
+        let _serial = lock(&SERIAL);
         let drops = Arc::new(AtomicUsize::new(0));
         let cell = Arc::new(RcuCell::new(counted(0, &drops)));
         let stop = Arc::new(AtomicU64::new(0));
@@ -356,6 +366,7 @@ mod tests {
 
     #[test]
     fn participants_are_recycled_across_threads() {
+        let _serial = lock(&SERIAL);
         for _ in 0..64 {
             thread::spawn(|| {
                 let g = pin();
