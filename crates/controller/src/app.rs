@@ -94,36 +94,17 @@ pub(crate) enum CallRoute {
 }
 
 /// The app-side read fast path (DESIGN.md "Read fast path & vectored
-/// delivery"): an epoch-validated engine snapshot that lets the app thread
-/// check *and serve* side-effect-free reads with zero channel crossings.
+/// delivery"): the app thread checks *and serves* side-effect-free reads
+/// itself, with zero channel crossings.
 ///
-/// Soundness rests on three pillars:
-///
-/// * only call-only permission decisions are made here
-///   ([`sdnshield_core::engine::PermissionEngine::check_call_only`] returns
-///   `None` for anything stateful, which then rides the deputy), with the
-///   kernel's context epoch re-validated around the decision;
-/// * only the read-only handler kinds are served
-///   ([`Kernel::try_serve_read_with`] rejects everything mutating);
-/// * the cached `Arc` engine snapshot is keyed on the kernel's registry
-///   epoch, so registration changes force a refetch before the next hit.
+/// There is nothing cached to invalidate: each call loads the active kernel
+/// from the cell and [`Kernel::try_serve_read`] pins its published registry
+/// view once, deciding and reading through the same snapshot. That method
+/// makes only call-only permission decisions (anything stateful returns
+/// `None` and rides the deputy), re-validates the kernel's context epoch
+/// around the decision, and serves only the read-only handler kinds.
 pub(crate) struct FastLane {
     cell: Arc<crate::isolation::KernelCell>,
-    app: AppId,
-    /// Cached engine snapshot, keyed by the (kernel-cell version, registry
-    /// epoch) pair it was fetched under — the version term invalidates the
-    /// cache across a failover promotion, the epoch term across any
-    /// registration change. Only the owning app thread takes this mutex, so
-    /// it is uncontended; a `Mutex` (not a `RwLock`) keeps the hot path to
-    /// one atomic op.
-    #[allow(clippy::type_complexity)]
-    snapshot: Mutex<
-        Option<(
-            u64,
-            u64,
-            Option<Arc<sdnshield_core::engine::PermissionEngine>>,
-        )>,
-    >,
     /// Controller-wide hit counter (observability, tests).
     hits: Arc<std::sync::atomic::AtomicU64>,
 }
@@ -131,52 +112,15 @@ pub(crate) struct FastLane {
 impl FastLane {
     pub(crate) fn new(
         cell: Arc<crate::isolation::KernelCell>,
-        app: AppId,
         hits: Arc<std::sync::atomic::AtomicU64>,
     ) -> Self {
-        FastLane {
-            cell,
-            app,
-            snapshot: Mutex::new(None),
-            hits,
-        }
+        FastLane { cell, hits }
     }
 
     /// Serves the call on the calling thread if it is fast-path eligible.
     /// `None` means "cross the channel" — never "denied".
     fn try_serve(&self, call: &ApiCall) -> Option<Result<ApiResponse, ApiError>> {
-        if !matches!(
-            call.kind,
-            ApiCallKind::ReadTopology
-                | ApiCallKind::ReadFlowTable { .. }
-                | ApiCallKind::ReadStatistics { .. }
-        ) {
-            return None;
-        }
-        let version = self.cell.version();
-        let kernel = self.cell.load();
-        let result = if kernel.checks_enabled() {
-            let registry_epoch = kernel.registry_epoch();
-            let engine = {
-                let mut snap = self.snapshot.lock();
-                match snap.as_ref() {
-                    Some((ver, epoch, engine)) if *ver == version && *epoch == registry_epoch => {
-                        engine.clone()
-                    }
-                    _ => {
-                        let engine = kernel.engine_snapshot(self.app);
-                        *snap = Some((version, registry_epoch, engine.clone()));
-                        engine
-                    }
-                }
-            };
-            // Not registered (mid-deregistration race): take the deputy so
-            // the error path is uniform with the slow lane.
-            let engine = engine?;
-            kernel.try_serve_read_with(call, Some(&engine))?
-        } else {
-            kernel.try_serve_read_with(call, None)?
-        };
+        let result = self.cell.load().try_serve_read(call)?;
         self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         Some(result)
     }

@@ -123,9 +123,8 @@ struct AuditShared {
     /// The lock-free producer ring.
     ring: ArrayQueue<PendingRecord>,
     /// Single-consumer role: whoever holds this may pop the ring, assign
-    /// sequence numbers, and append to the segments. Unranked in the lock
-    /// hierarchy (see `lockorder`): nothing is acquired under it except
-    /// the segment mutexes, which are leaves.
+    /// sequence numbers, and append to the segments. A leaf: nothing is
+    /// acquired under it except the segment mutexes.
     drain: Mutex<()>,
     segments: Vec<Mutex<Segment>>,
     per_segment_capacity: usize,

@@ -117,6 +117,12 @@ pub enum Command {
         /// `(app, payload)` pairs granted payload access.
         grants: Vec<(AppId, Bytes)>,
     },
+    /// Reap every flow on a switch whose control connection died (the
+    /// southbound reactor's teardown), releasing the owners' rule quotas.
+    ReapSwitch {
+        /// The disconnected switch.
+        dpid: DatapathId,
+    },
 }
 
 impl Command {
@@ -135,6 +141,7 @@ impl Command {
             Command::FailLink { .. } => "fail_link",
             Command::InjectHostFrame { .. } => "inject_host_frame",
             Command::RecordPktIns { .. } => "record_pkt_ins",
+            Command::ReapSwitch { .. } => "reap_switch",
         }
     }
 }
@@ -508,6 +515,10 @@ pub fn encode_command(cmd: &Command, out: &mut BytesMut) {
                 codec::put_bytes(payload, out);
             }
         }
+        Command::ReapSwitch { dpid } => {
+            out.put_u8(12);
+            out.put_u64(dpid.0);
+        }
     }
 }
 
@@ -599,6 +610,12 @@ pub fn decode_command(b: &mut Bytes) -> Result<Command, DecodeError> {
                 grants.push((app, codec::get_bytes(b)?));
             }
             Command::RecordPktIns { grants }
+        }
+        12 => {
+            need(b, 8)?;
+            Command::ReapSwitch {
+                dpid: DatapathId(b.get_u64()),
+            }
         }
         _ => return Err(DecodeError::new("bad command tag")),
     })
@@ -1127,6 +1144,9 @@ mod tests {
             },
             Command::RecordPktIns {
                 grants: vec![(AppId(1), Bytes::from_static(b"payload"))],
+            },
+            Command::ReapSwitch {
+                dpid: DatapathId(2),
             },
         ]
     }

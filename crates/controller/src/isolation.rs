@@ -730,8 +730,8 @@ fn watchdog_loop(pool: Arc<DeputyPool>) {
 /// Deputies, app threads and the controller front-end no longer pin an
 /// `Arc<Kernel>` for their lifetime; they hold the cell and load the active
 /// kernel at the point of use. [`ShieldedController::promote`] swaps a
-/// caught-up standby in and bumps the version, so per-kernel caches (the
-/// read fast path's engine snapshot) invalidate on the next access.
+/// caught-up standby in; nothing caches per-kernel state across loads, so
+/// there is nothing to invalidate.
 ///
 /// Loads take an uncontended `RwLock` read — promotion is rare, reads are
 /// the common case — and each load is a self-contained `Arc` clone, so a
@@ -740,7 +740,6 @@ fn watchdog_loop(pool: Arc<DeputyPool>) {
 /// for mutations) and picks up the promoted kernel on its next load.
 pub struct KernelCell {
     current: RwLock<Arc<Kernel>>,
-    version: AtomicU64,
 }
 
 impl KernelCell {
@@ -748,7 +747,6 @@ impl KernelCell {
     pub fn new(kernel: Arc<Kernel>) -> Self {
         KernelCell {
             current: RwLock::new(kernel),
-            version: AtomicU64::new(0),
         }
     }
 
@@ -757,17 +755,9 @@ impl KernelCell {
         Arc::clone(&self.current.read())
     }
 
-    /// Bumped on every [`KernelCell::store`]; cache keys include it so a
-    /// promoted kernel never serves another kernel's cached state.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
     /// Swaps in a new active kernel (failover promotion).
     pub fn store(&self, kernel: Arc<Kernel>) {
-        let mut current = self.current.write();
-        *current = kernel;
-        self.version.fetch_add(1, Ordering::AcqRel);
+        *self.current.write() = kernel;
     }
 }
 
@@ -1098,7 +1088,6 @@ impl ShieldedController {
         let fast = self.config.read_fast_path.then(|| {
             Arc::new(FastLane::new(
                 Arc::clone(&self.cell),
-                id,
                 Arc::clone(&self.fast_hits),
             ))
         });

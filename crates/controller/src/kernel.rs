@@ -12,29 +12,26 @@
 //!
 //! # Concurrency
 //!
-//! Writers serialize at the seam: check and apply are one step under the
-//! commit lock, so a quota can never be overshot by racing checks and a
-//! [`Kernel::snapshot`] never cuts a transaction in half (DESIGN.md §6,
-//! §16). Readers never take the commit lock. State stays decomposed into
-//! independently synchronized subsystems so the read side — call-only
-//! permission checks, the app-side read fast lane, stats — contends only
-//! with the one writer that happens to touch the same data:
+//! One lock, one owner. Everything a command can change — journal handle,
+//! app registry, subscriptions, ownership tracker, host system, host inbox,
+//! switch-lane pool — is a plain field of [`State`], owned by the commit
+//! mutex. Writers serialize at the seam: check and apply are one step under
+//! the commit guard, so a quota can never be overshot by racing checks and
+//! a [`Kernel::snapshot`] never cuts a transaction in half (DESIGN.md §6,
+//! §16). A `&mut State` exists only while the guard does, so "holds the
+//! lock" is a fact the compiler checks.
 //!
-//! * **registry** (`RwLock`): engines, app names, virtual topologies.
-//!   Read-mostly — written only at register/deregister time.
-//! * **network**: internally sharded by `netsim` — per-switch mutexes, an
-//!   RCU-published topology and switch views, an atomic clock.
-//! * **tracker** (`RwLock`): ownership/quota state read by stateful checks,
-//!   written after successful flow-mods.
-//! * **audit**: lock-free ring with a single sequencing drainer.
-//! * **subs**, **host**, **host_inbox**: small independent locks.
-//!
-//! Lock-ordering hierarchy (a thread may only acquire downward, and the
-//! code never holds two of these at once except Registry→Topology inside
-//! `topology_view_for`): Registry → Subs → Tracker → Topology →
-//! Switch(ascending dpid, one at a time) → Host → HostInbox. The commit
-//! lock sits above all of them. See DESIGN.md "Locking hierarchy &
-//! scaling" for the rationale.
+//! Readers never take the commit lock. The registry and the subscription
+//! table are additionally published as immutable RCU views
+//! ([`crossbeam::epoch::RcuCell`]); the few commands that change them
+//! republish before they return, so a revocation is visible off-lock the
+//! moment `deregister_app` does. The read fast lane, the dispatcher's
+//! subscriber lookups and the loading-time token check read those views and
+//! nothing else of the guarded state. What remains is independently
+//! synchronized and owned elsewhere: the `netsim` network (per-switch
+//! mutexes and its own RCU views — the reactor and lane threads write it),
+//! the lock-free audit ring, the decision-trace buffer, and the atomic
+//! tracker-epoch mirror.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -42,8 +39,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
+use crossbeam::epoch::{self, RcuCell};
 use crossbeam::queue::ArrayQueue;
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use sdnshield_core::api::{ApiCall, ApiCallKind, AppId, EventKind};
 use sdnshield_core::engine::{Decision, OwnershipTracker, PermissionEngine};
@@ -52,6 +50,7 @@ use sdnshield_core::perm::PermissionSet;
 use sdnshield_core::token::PermissionToken;
 use sdnshield_core::vtopo::{PhysView, VirtualTopology};
 use sdnshield_netsim::network::{Delivery, Network, RemovedFlow};
+use sdnshield_openflow::flow_match::FlowMatch;
 use sdnshield_openflow::flow_table::RemovedEntry;
 use sdnshield_openflow::messages::{
     FlowMod, FlowRemoved, OfError, PacketIn, PacketOut, StatsReply, StatsRequest,
@@ -65,7 +64,6 @@ use crate::command::{Command, CommandOutcome, KernelSnapshot, SwitchSnapshot};
 use crate::events::Event;
 use crate::hostsys::{ConnId, HostSystem};
 use crate::journal::{Journal, JournalRecord};
-use crate::lockorder::{self, Ordered, Rank};
 
 /// An event produced by executing a call, to be routed by the dispatcher.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,9 +77,8 @@ pub struct OutboundEvent {
 /// events its application generated.
 type Submitted = (CommandOutcome, Vec<OutboundEvent>);
 
-/// The held commit lock. The attached journal lives inside it: only the
-/// lock holder appends, so "no journal" just means nothing to append to.
-type CommitGuard<'a> = MutexGuard<'a, Option<Arc<Journal>>>;
+/// The held commit lock, owning every piece of write-side state.
+type CommitGuard<'a> = MutexGuard<'a, State>;
 
 /// One drained batch entry: the parked peer to answer (`None` for the
 /// combiner's own command) and the command, taken once journaled.
@@ -220,6 +217,9 @@ struct CombinerCounters {
     lane_runs: AtomicU64,
     /// Deepest per-run lane fan-out observed.
     max_lane_run: AtomicU64,
+    /// Configured switch-lane count, mirrored here so the stats snapshot
+    /// never takes the commit lock that owns the pool.
+    lanes: AtomicU64,
 }
 
 fn hist_bucket(n: usize) -> usize {
@@ -335,10 +335,6 @@ impl LanePool {
         }
     }
 
-    fn lane_count(&self) -> usize {
-        self.senders.len()
-    }
-
     /// The home lane for a datapath.
     fn home(&self, dpid: DatapathId) -> usize {
         dpid.0 as usize % self.senders.len()
@@ -384,7 +380,7 @@ struct FlowLanePlan<'a> {
 
 /// Read-mostly app registry: written only at register/deregister time, read
 /// on every checked call.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Registry {
     engines: HashMap<AppId, Arc<PermissionEngine>>,
     /// App names for diagnostics.
@@ -394,10 +390,13 @@ struct Registry {
     /// Canonical manifest text per app, kept so snapshots and journaled
     /// registrations can recompile the identical engine after a restart.
     manifests: HashMap<AppId, String>,
+    /// Counts registry mutations (app registered or reaped); carried in
+    /// [`KernelSnapshot`].
+    epoch: u64,
 }
 
 /// Event routing state.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct Subscriptions {
     /// Event subscriptions by kind: (app, intercepts) in delivery order,
     /// interceptors first.
@@ -406,21 +405,47 @@ struct Subscriptions {
     custom: BTreeMap<String, Vec<AppId>>,
 }
 
+/// The write-side state, owned by the commit mutex: a `&mut State` exists
+/// only while the commit guard does, so every applier that takes one is
+/// statically inside the critical section.
+struct State {
+    /// The attached journal (`None` = nothing to append to). Only the lock
+    /// holder appends, so journal order is commit order.
+    journal: Option<Arc<Journal>>,
+    /// Mutated only through [`Kernel::registry_mut`], which republishes
+    /// [`Kernel::registry_view`].
+    registry: Arc<Registry>,
+    /// Mutated only through [`Kernel::subs_mut`], which republishes
+    /// [`Kernel::subs_view`].
+    subs: Arc<Subscriptions>,
+    /// Mutated only through [`Kernel::tracker_mut`], which republishes
+    /// [`Kernel::tracker_epoch`].
+    tracker: OwnershipTracker,
+    host: HostSystem,
+    /// Frames delivered to host NICs, for data-plane observation in tests.
+    host_inbox: BTreeMap<EthAddr, Vec<EthernetFrame>>,
+    /// Single-writer switch lanes (`None` = lanes disabled, the default).
+    lanes: Option<LanePool>,
+}
+
 /// The kernel: shared, internally synchronized controller state.
 pub struct Kernel {
-    registry: RwLock<Registry>,
-    subs: RwLock<Subscriptions>,
-    tracker: RwLock<OwnershipTracker>,
-    /// Lock-free mirror of the tracker's epoch, republished under the
-    /// tracker write lock by [`Kernel::tracker_mut`]. Lets
-    /// [`Kernel::context_epoch`] — and through it every call-only
-    /// permission check and the app-side read fast lane — avoid the
-    /// tracker's read lock entirely.
+    /// Everything a command can change, behind the commit lock: it
+    /// serializes every command's check+apply+append, making journal order
+    /// identical to commit order. Reads never take it.
+    commit: Mutex<State>,
+    /// Off-lock view of `State::registry`, republished by the commands that
+    /// change it (register, deregister, recover) before they return.
+    registry_view: RcuCell<Registry>,
+    /// Off-lock view of `State::subs`, republished likewise (subscribe,
+    /// subscribe-topic, deregister, recover).
+    subs_view: RcuCell<Subscriptions>,
+    /// Lock-free mirror of the tracker's epoch, republished by
+    /// [`Kernel::tracker_mut`]. Lets [`Kernel::context_epoch`] — and
+    /// through it every call-only permission check and the app-side read
+    /// fast lane — validate a decision without the commit lock.
     tracker_epoch: AtomicU64,
     network: Arc<Network>,
-    host: Mutex<HostSystem>,
-    /// Frames delivered to host NICs, for data-plane observation in tests.
-    host_inbox: Mutex<BTreeMap<EthAddr, Vec<EthernetFrame>>>,
     audit: AuditLog,
     /// Whether permission checks run (false = monolithic baseline).
     checks_enabled: bool,
@@ -431,22 +456,6 @@ pub struct Kernel {
     /// Opt-in: run the `sdnshield-analysis` lint pass over manifests at
     /// registration time, rejecting manifests with error-severity findings.
     lint_on_register: std::sync::atomic::AtomicBool,
-    /// Advances after every registry mutation (app registered or reaped).
-    /// App-side fast lanes key their cached `Arc<PermissionEngine>` snapshot
-    /// on this counter; a bump forces a refetch. Incremented strictly
-    /// *after* the registry write completes, so a lane that observes epoch
-    /// `E` and then fetches sees state at least as new as `E` (observing a
-    /// pre-bump engine under a pre-bump epoch is fine — the next bump
-    /// invalidates it; the reverse order could cache a stale engine under
-    /// the *current* epoch forever).
-    registry_epoch: std::sync::atomic::AtomicU64,
-    /// The commit lock: serializes every command's check+apply+append,
-    /// making journal order identical to commit order, and guards the
-    /// attached journal (`None` = nothing to append to). Deliberately
-    /// OUTSIDE the `lockorder` hierarchy: it is always acquired before any
-    /// ranked subsystem lock and released after them, so it cannot
-    /// participate in an inversion — and reads never take it at all.
-    commit: Mutex<Option<Arc<Journal>>>,
     /// Flat-combining slot ring (DESIGN.md §16): submitters who lose the
     /// race for the commit lock publish their command here; the lock winner
     /// drains the ring and applies the whole batch under one acquisition
@@ -454,10 +463,6 @@ pub struct Kernel {
     submit_ring: ArrayQueue<Arc<SubmitSlot>>,
     /// Write-pipeline observability counters.
     combiner: CombinerCounters,
-    /// Single-writer switch lanes (`None` = lanes disabled, the default).
-    /// Only the combiner — which holds the commit lock — uses the pool, so
-    /// this mutex is uncontended on the hot path.
-    lanes: Mutex<Option<LanePool>>,
     /// Set by [`Kernel::seal`]: every later submit is refused with
     /// [`ApiError::Shutdown`] instead of being applied. This is how failover
     /// fences the old primary.
@@ -503,23 +508,28 @@ impl Kernel {
     /// executed without permission checks, as in the unmodified controller
     /// the paper compares against.
     pub fn new(network: Network, checks_enabled: bool) -> Self {
+        let registry = Arc::new(Registry::default());
+        let subs = Arc::new(Subscriptions::default());
         Kernel {
-            registry: RwLock::new(Registry::default()),
-            subs: RwLock::new(Subscriptions::default()),
-            tracker: RwLock::new(OwnershipTracker::new()),
+            registry_view: RcuCell::new(Arc::clone(&registry)),
+            subs_view: RcuCell::new(Arc::clone(&subs)),
+            commit: Mutex::new(State {
+                journal: None,
+                registry,
+                subs,
+                tracker: OwnershipTracker::new(),
+                host: HostSystem::new(),
+                host_inbox: BTreeMap::new(),
+                lanes: None,
+            }),
             tracker_epoch: AtomicU64::new(0),
             network: Arc::new(network),
-            host: Mutex::new(HostSystem::new()),
-            host_inbox: Mutex::new(BTreeMap::new()),
             audit: AuditLog::default(),
             checks_enabled,
             absorb_packet_outs: std::sync::atomic::AtomicBool::new(false),
             lint_on_register: std::sync::atomic::AtomicBool::new(false),
-            registry_epoch: std::sync::atomic::AtomicU64::new(0),
-            commit: Mutex::new(None),
             submit_ring: ArrayQueue::new(SUBMIT_RING_CAPACITY),
             combiner: CombinerCounters::default(),
-            lanes: Mutex::new(None),
             sealed: AtomicBool::new(false),
             last_applied: AtomicU64::new(0),
             replaying: AtomicBool::new(false),
@@ -567,17 +577,10 @@ impl Kernel {
         self.checks_enabled
     }
 
-    /// The registry epoch: advances after every app registration or
-    /// deregistration. Fast lanes use it to validate their cached engine
-    /// snapshot without taking the registry lock.
-    pub fn registry_epoch(&self) -> u64 {
-        self.registry_epoch
-            .load(std::sync::atomic::Ordering::Acquire)
-    }
-
-    fn bump_registry_epoch(&self) {
-        self.registry_epoch
-            .fetch_add(1, std::sync::atomic::Ordering::Release);
+    /// Runs `f` over the published registry view. Pins once, so everything
+    /// `f` looks up belongs to the same registration state.
+    fn with_registry<R>(&self, f: impl FnOnce(&Registry) -> R) -> R {
+        f(self.registry_view.load(&epoch::pin()))
     }
 
     /// A shared snapshot of an app's compiled permission engine (the same
@@ -585,7 +588,7 @@ impl Kernel {
     /// across both sides of the channel). `None` when the app is not
     /// registered.
     pub fn engine_snapshot(&self, app: AppId) -> Option<Arc<PermissionEngine>> {
-        self.engine_for(app)
+        self.with_registry(|reg| reg.engines.get(&app).cloned())
     }
 
     /// Turns audit-record admission on or off (see
@@ -603,52 +606,31 @@ impl Kernel {
             .store(lint, std::sync::atomic::Ordering::SeqCst);
     }
 
-    // Lock accessors: every acquisition of a kernel-level lock goes through
-    // one of these, so debug builds assert the documented hierarchy (module
-    // docs above; `lockorder`) and panic on inversion instead of
-    // deadlocking.
-
-    fn reg_read(&self) -> Ordered<RwLockReadGuard<'_, Registry>> {
-        lockorder::order(Rank::Registry, || self.registry.read())
-    }
-
-    fn reg_write(&self) -> Ordered<RwLockWriteGuard<'_, Registry>> {
-        lockorder::order(Rank::Registry, || self.registry.write())
-    }
-
-    fn subs_read(&self) -> Ordered<RwLockReadGuard<'_, Subscriptions>> {
-        lockorder::order(Rank::Subs, || self.subs.read())
-    }
-
-    fn subs_write(&self) -> Ordered<RwLockWriteGuard<'_, Subscriptions>> {
-        lockorder::order(Rank::Subs, || self.subs.write())
-    }
-
-    fn tracker_read(&self) -> Ordered<RwLockReadGuard<'_, OwnershipTracker>> {
-        lockorder::order(Rank::Tracker, || self.tracker.read())
-    }
-
-    fn tracker_write(&self) -> Ordered<RwLockWriteGuard<'_, OwnershipTracker>> {
-        lockorder::order(Rank::Tracker, || self.tracker.write())
-    }
-
-    /// Mutates the ownership tracker and republishes its epoch into the
-    /// lock-free mirror **while still holding the write lock**, so the
-    /// mirror can never run ahead of (or permanently lag) the tracker. All
-    /// tracker mutations must go through here.
-    fn tracker_mut<R>(&self, f: impl FnOnce(&mut OwnershipTracker) -> R) -> R {
-        let mut tracker = self.tracker_write();
-        let r = f(&mut tracker);
-        self.tracker_epoch.store(tracker.epoch(), Ordering::Release);
+    /// Mutates the registry and republishes the off-lock view before
+    /// returning, so a reader that starts after the command's reply already
+    /// sees the change. All registry mutations go through here.
+    fn registry_mut<R>(&self, state: &mut State, f: impl FnOnce(&mut Registry) -> R) -> R {
+        let r = f(Arc::make_mut(&mut state.registry));
+        self.registry_view.store(Arc::clone(&state.registry));
         r
     }
 
-    fn host_lock(&self) -> Ordered<MutexGuard<'_, HostSystem>> {
-        lockorder::order(Rank::Host, || self.host.lock())
+    /// [`Kernel::registry_mut`] for the subscription table.
+    fn subs_mut<R>(&self, state: &mut State, f: impl FnOnce(&mut Subscriptions) -> R) -> R {
+        let r = f(Arc::make_mut(&mut state.subs));
+        self.subs_view.store(Arc::clone(&state.subs));
+        r
     }
 
-    fn host_inbox_lock(&self) -> Ordered<MutexGuard<'_, BTreeMap<EthAddr, Vec<EthernetFrame>>>> {
-        lockorder::order(Rank::HostInbox, || self.host_inbox.lock())
+    /// Mutates the ownership tracker and republishes its epoch into the
+    /// lock-free mirror before the commit guard can drop, so the mirror can
+    /// never run ahead of (or permanently lag) the tracker. All tracker
+    /// mutations go through here.
+    fn tracker_mut<R>(&self, state: &mut State, f: impl FnOnce(&mut OwnershipTracker) -> R) -> R {
+        let r = f(&mut state.tracker);
+        self.tracker_epoch
+            .store(state.tracker.epoch(), Ordering::Release);
+        r
     }
 
     /// Records a mediated-call audit record, tagging the operation with
@@ -673,16 +655,17 @@ impl Kernel {
     /// Decides `call` against the calling app's `engine` — the one place a
     /// permission decision is made, whichever lane asks. Side-effect free.
     ///
-    /// With `live`, a stateful plan is decided against the ownership
-    /// tracker and the answer is always `Some`. Without it the decision
-    /// must be a pure function of the call: `None` means "needs live
-    /// state" (a stateful plan, or the tracker moved mid-decision) and the
-    /// caller routes the call to a lane that holds the commit lock.
+    /// With a `tracker` — which only the commit-guard holder can supply — a
+    /// stateful plan is decided against it and the answer is always `Some`.
+    /// Without one the decision must be a pure function of the call: `None`
+    /// means "needs live state" (a stateful plan, or the tracker moved
+    /// mid-decision) and the caller routes the call to a lane that holds
+    /// the commit lock.
     fn decide(
         &self,
         engine: Option<&PermissionEngine>,
         call: &ApiCall,
-        live: bool,
+        tracker: Option<&OwnershipTracker>,
     ) -> Option<Decision> {
         if !self.checks_enabled {
             return Some(Decision::Allowed);
@@ -695,9 +678,10 @@ impl Kernel {
             });
         };
         let epoch = self.context_epoch();
-        match engine.check_call_only(call, epoch) {
-            Some(decision) if live || self.context_epoch() == epoch => Some(decision),
-            None if live => Some(engine.check(call, &*self.tracker_read())),
+        match (engine.check_call_only(call, epoch), tracker) {
+            (Some(decision), Some(_)) => Some(decision),
+            (Some(decision), None) if self.context_epoch() == epoch => Some(decision),
+            (None, Some(tracker)) => Some(engine.check(call, tracker)),
             _ => None,
         }
     }
@@ -726,12 +710,13 @@ impl Kernel {
     fn authorize(
         &self,
         engine: Option<&PermissionEngine>,
+        tracker: &OwnershipTracker,
         call: &ApiCall,
         op: &str,
         lane: &'static str,
     ) -> Result<(), ApiError> {
         let decision = self
-            .decide(engine, call, true)
+            .decide(engine, call, Some(tracker))
             .expect("a live decision always resolves");
         self.admit(call, op, lane, decision)
     }
@@ -747,31 +732,31 @@ impl Kernel {
         self.record_audit(app, op, token, outcome);
     }
 
+    /// [`Kernel::audit_outcome`] for a performed call: operation and token
+    /// are the call's own.
+    fn audit_call_outcome(&self, call: &ApiCall, ok: bool) {
+        self.audit_outcome(call.app, call.kind.name(), call.required_token(), ok);
+    }
+
     /// Enables/disables CBench mode (see the field documentation).
     pub fn set_absorb_packet_outs(&self, absorb: bool) {
         self.absorb_packet_outs
             .store(absorb, std::sync::atomic::Ordering::SeqCst);
     }
 
-    /// The permission engine for an app, if registered.
-    fn engine_for(&self, app: AppId) -> Option<Arc<PermissionEngine>> {
-        self.reg_read().engines.get(&app).cloned()
-    }
-
     /// The engine a checked kernel authorizes `app` against. `None` on the
     /// monolithic baseline (which never consults one) and for an
     /// unregistered app (which [`Kernel::decide`] denies).
-    fn checked_engine(&self, app: AppId) -> Option<Arc<PermissionEngine>> {
+    fn checked_engine<'r>(
+        &self,
+        registry: &'r Registry,
+        app: AppId,
+    ) -> Option<&'r PermissionEngine> {
         if self.checks_enabled {
-            self.engine_for(app)
+            registry.engines.get(&app).map(|e| &**e)
         } else {
             None
         }
-    }
-
-    /// The virtual-topology mapper for an app, if granted one.
-    fn vtopo_for(&self, app: AppId) -> Option<Arc<VirtualTopology>> {
-        self.reg_read().vtopos.get(&app).cloned()
     }
 
     /// Registers an app's reconciled manifest, compiling its permission
@@ -809,6 +794,7 @@ impl Kernel {
     /// manifests were admitted before the crash).
     fn apply_register(
         &self,
+        state: &mut State,
         app: AppId,
         name: &str,
         manifest: &PermissionSet,
@@ -820,8 +806,7 @@ impl Kernel {
         }
         let engine = PermissionEngine::compile(manifest);
         // Materialize a virtual topology if the visible_topology filter
-        // carries a VIRTUAL spec — built before the registry write lock is
-        // taken, so registration never holds Registry across topology reads.
+        // carries a VIRTUAL spec.
         let mut vtopo = None;
         if let Some(filter) = engine.filter_for(PermissionToken::VisibleTopology) {
             if let Some(spec) = find_vtopo_spec(filter) {
@@ -831,16 +816,15 @@ impl Kernel {
                 vtopo = Some(Arc::new(vt));
             }
         }
-        {
-            let mut reg = self.reg_write();
+        self.registry_mut(state, |reg| {
             if let Some(vt) = vtopo {
                 reg.vtopos.insert(app, vt);
             }
             reg.engines.insert(app, Arc::new(engine));
             reg.app_names.insert(app, name.to_owned());
             reg.manifests.insert(app, text.to_owned());
-        }
-        self.bump_registry_epoch();
+            reg.epoch += 1;
+        });
         self.trace_event(|| sdnshield_core::trace::TraceEvent::Register {
             app,
             name: name.to_owned(),
@@ -893,14 +877,14 @@ impl Kernel {
     /// Loading-time access control (paper §VIII-B): are all `required`
     /// tokens granted at all? Returns the missing tokens.
     pub fn missing_tokens(&self, app: AppId, required: &[PermissionToken]) -> Vec<PermissionToken> {
-        match self.engine_for(app) {
+        self.with_registry(|reg| match reg.engines.get(&app) {
             Some(engine) => required
                 .iter()
                 .copied()
                 .filter(|t| !engine.has_token(*t))
                 .collect(),
             None => required.to_vec(),
-        }
+        })
     }
 
     /// Executes one mediated call: permission check, execution, audit.
@@ -918,13 +902,17 @@ impl Kernel {
     }
 
     /// Applies one mediated call: authorize, perform, audit the outcome.
-    fn apply_call(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        let engine = self.checked_engine(call.app);
+    fn apply_call(
+        &self,
+        state: &mut State,
+        call: &ApiCall,
+    ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
+        let engine = self.checked_engine(&state.registry, call.app);
         let op = call.kind.name();
-        if let Err(denied) = self.authorize(engine.as_deref(), call, op, "deputy") {
+        if let Err(denied) = self.authorize(engine, &state.tracker, call, op, "deputy") {
             return (Err(denied), Vec::new());
         }
-        self.perform_audited(call)
+        self.perform_audited(state, call)
     }
 
     /// Performs an authorized call and audits its outcome. In CBench mode
@@ -932,6 +920,7 @@ impl Kernel {
     /// still gets the mediated reply on its socket.
     fn perform_audited(
         &self,
+        state: &mut State,
         call: &ApiCall,
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
         let (result, events) = match &call.kind {
@@ -941,14 +930,9 @@ impl Kernel {
                 self.network.notify_wire_packet_out(*dpid, packet_out);
                 (Ok(ApiResponse::Unit), Vec::new())
             }
-            _ => self.perform(call),
+            _ => self.perform(state, call),
         };
-        self.audit_outcome(
-            call.app,
-            call.kind.name(),
-            call.required_token(),
-            result.is_ok(),
-        );
+        self.audit_call_outcome(call, result.is_ok());
         (result, events)
     }
 
@@ -961,30 +945,20 @@ impl Kernel {
     ///   ([`PermissionEngine::check_call_only`] — constant or call-only
     ///   plan; stateful literals route to the deputy), and
     /// * the handler is one of the read-only kinds (`read_topology`,
-    ///   `read_flow_table`, `read_statistics`), whose `perform` arms mutate
-    ///   nothing and emit no events.
+    ///   `read_flow_table`, `read_statistics`), which [`Kernel::serve_read`]
+    ///   answers from the registry view and the network alone.
     ///
-    /// The context epoch is re-read after the check: if the ownership
-    /// tracker mutated mid-decision the hit is abandoned (`None`) and the
-    /// call falls back to the deputy, which decides against a live tracker
-    /// view. Denials and served reads are audited exactly as
-    /// [`Kernel::execute`] would audit them, so forensics cannot tell the
-    /// two paths apart.
+    /// The thread pins once: the engine the call is checked against and the
+    /// registry the read is filtered through are one published view, so a
+    /// registration change is seen entirely or not at all. The context
+    /// epoch is re-read after the check: if the ownership tracker mutated
+    /// mid-decision the hit is abandoned (`None`) and the call falls back to
+    /// the deputy, which decides against the live tracker. Denials and
+    /// served reads are audited exactly as [`Kernel::execute`] would audit
+    /// them, so forensics cannot tell the two paths apart.
     ///
     /// `None` always means "route through the deputy", never "denied".
     pub fn try_serve_read(&self, call: &ApiCall) -> Option<Result<ApiResponse, ApiError>> {
-        let engine = self.checked_engine(call.app);
-        self.try_serve_read_with(call, engine.as_deref())
-    }
-
-    /// [`Kernel::try_serve_read`] with a caller-supplied engine snapshot, so
-    /// an app-thread fast lane that already holds a registry-epoch-validated
-    /// `Arc<PermissionEngine>` skips the registry read lock entirely.
-    pub(crate) fn try_serve_read_with(
-        &self,
-        call: &ApiCall,
-        engine: Option<&PermissionEngine>,
-    ) -> Option<Result<ApiResponse, ApiError>> {
         if !matches!(
             call.kind,
             ApiCallKind::ReadTopology
@@ -993,20 +967,23 @@ impl Kernel {
         ) {
             return None;
         }
-        if self.checks_enabled && engine.is_none() {
-            // Unregistered or reaped: the deputy lane denies it.
-            return None;
-        }
-        // No commit lock here, so the decision must not need live state: a
-        // stateful plan or a tracker that moved mid-decision abandons the
-        // hit and the deputy re-decides against a live tracker view.
-        let decision = self.decide(engine, call, false)?;
-        if let Err(denied) = self.admit(call, call.kind.name(), "fastlane", decision) {
-            return Some(Err(denied));
-        }
-        let (result, events) = self.perform_audited(call);
-        debug_assert!(events.is_empty(), "read-only perform arms emit no events");
-        Some(result)
+        self.with_registry(|registry| {
+            let engine = self.checked_engine(registry, call.app);
+            if self.checks_enabled && engine.is_none() {
+                // Unregistered or reaped: the deputy lane denies it.
+                return None;
+            }
+            // No commit guard here, so there is no tracker to consult: a
+            // stateful plan or a tracker that moved mid-decision abandons
+            // the hit and the deputy re-decides against live state.
+            let decision = self.decide(engine, call, None)?;
+            if let Err(denied) = self.admit(call, call.kind.name(), "fastlane", decision) {
+                return Some(Err(denied));
+            }
+            let result = self.serve_read(registry, call);
+            self.audit_call_outcome(call, result.is_ok());
+            Some(result)
+        })
     }
 
     /// Executes an atomic group of flow operations (paper §VI-B2): all
@@ -1066,10 +1043,14 @@ impl Kernel {
 
     fn apply_packet_outs(
         &self,
+        state: &mut State,
         app: AppId,
         outs: &[(DatapathId, PacketOut)],
     ) -> (Result<usize, ApiError>, Vec<OutboundEvent>) {
-        let engine = self.checked_engine(app);
+        // Checks and applies interleave, so the engine is borrowed from a
+        // local handle on the registry rather than through `state`.
+        let registry = Arc::clone(&state.registry);
+        let engine = self.checked_engine(&registry, app);
         let mut sent = 0usize;
         let mut events = Vec::new();
         for (dpid, packet_out) in outs {
@@ -1081,7 +1062,7 @@ impl Kernel {
                 },
             };
             if let Err(denied) =
-                self.authorize(engine.as_deref(), &call, call.kind.name(), "vectored")
+                self.authorize(engine, &state.tracker, &call, call.kind.name(), "vectored")
             {
                 if engine.is_none() {
                     // Unregistered or reaped: the whole group is refused.
@@ -1089,7 +1070,7 @@ impl Kernel {
                 }
                 continue;
             }
-            let (result, evs) = self.perform_audited(&call);
+            let (result, evs) = self.perform_audited(state, &call);
             if result.is_ok() {
                 sent += 1;
             }
@@ -1110,16 +1091,17 @@ impl Kernel {
     /// Shared atomic check/apply/rollback for transactions and batches.
     fn run_atomic(
         &self,
+        state: &mut State,
         app: AppId,
         ops: &[FlowOp],
         audit_op: &'static str,
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
         // Phase 1: check everything before touching any state. The commit
         // lock is held, so every check sees one consistent tracker view.
-        let engine = self.checked_engine(app);
+        let engine = self.checked_engine(&state.registry, app);
         for (i, op) in ops.iter().enumerate() {
             let call = flow_op_call(app, op);
-            if let Err(denied) = self.authorize(engine.as_deref(), &call, audit_op, "batch") {
+            if let Err(denied) = self.authorize(engine, &state.tracker, &call, audit_op, "batch") {
                 let err = if engine.is_none() {
                     // Unregistered or reaped: the whole group is refused.
                     denied
@@ -1140,14 +1122,14 @@ impl Kernel {
             let stamped = stamp_cookie(app, &op.flow_mod);
             match self.network.apply_flow_mod(op.dpid, &stamped) {
                 Ok(removed) => {
-                    self.tracker_mut(|t| t.record_flow_mod(app, op.dpid, &stamped));
+                    self.tracker_mut(state, |t| t.record_flow_mod(app, op.dpid, &stamped));
                     events.extend(removed_events(op.dpid, &removed));
                     applied.push((i, removed));
                 }
                 Err(e) => {
                     // Roll back the applied prefix in reverse order.
                     for (j, removed) in applied.into_iter().rev() {
-                        self.rollback(app, &ops[j], removed);
+                        self.rollback(state, app, &ops[j], removed);
                     }
                     self.audit_outcome(app, audit_op, PermissionToken::InsertFlow, false);
                     return (
@@ -1194,14 +1176,14 @@ impl Kernel {
     }
 
     /// Records entries that left the data plane without a flow-mod (timeout
-    /// expiry, owner reaped) in the ownership tracker, under one write
-    /// lock, and returns their flow-removed events.
-    fn expire(&self, removed: Vec<RemovedFlow>) -> Vec<OutboundEvent> {
+    /// expiry, owner or switch reaped) in the ownership tracker and returns
+    /// their flow-removed events.
+    fn expire(&self, state: &mut State, removed: Vec<RemovedFlow>) -> Vec<OutboundEvent> {
         let mut events = Vec::new();
         if removed.is_empty() {
             return events;
         }
-        self.tracker_mut(|tracker| {
+        self.tracker_mut(state, |tracker| {
             for r in removed {
                 tracker.record_expiry(
                     r.dpid,
@@ -1235,36 +1217,43 @@ impl Kernel {
     /// Crash forensics (the app's name, crash counts) live with the
     /// supervisor, which outlives the kernel-side registration; the removals
     /// are recorded in the ownership tracker so later reads of the reclaimed
-    /// matches are not misattributed.
-    ///
-    /// Locks are taken strictly one subsystem at a time in hierarchy order
-    /// (Registry, Subs, Host, then each switch in ascending dpid order, then
-    /// Tracker), so reaping can never deadlock against concurrent deputies.
+    /// matches are not misattributed. The registry and subscription views
+    /// are republished before this returns: from then on no off-lock reader
+    /// finds the app's engine or routes an event to it.
     pub fn deregister_app(&self, app: AppId) -> Vec<OutboundEvent> {
         self.submit(Command::DeregisterApp { app }).1
     }
 
-    fn apply_deregister(&self, app: AppId) -> Vec<OutboundEvent> {
+    fn apply_deregister(&self, state: &mut State, app: AppId) -> Vec<OutboundEvent> {
         self.trace_event(|| sdnshield_core::trace::TraceEvent::Deregister { app });
-        {
-            let mut reg = self.reg_write();
+        self.registry_mut(state, |reg| {
             reg.engines.remove(&app);
             reg.app_names.remove(&app);
             reg.vtopos.remove(&app);
             reg.manifests.remove(&app);
-        }
-        self.bump_registry_epoch();
-        {
-            let mut subs = self.subs_write();
+            reg.epoch += 1;
+        });
+        self.subs_mut(state, |subs| {
             for subs in subs.by_kind.values_mut() {
                 subs.retain(|(a, _)| *a != app);
             }
             for subs in subs.custom.values_mut() {
                 subs.retain(|a| *a != app);
             }
-        }
-        self.host_lock().close_connections(app);
-        self.expire(self.network.remove_flows_owned_by(app.0))
+        });
+        state.host.close_connections(app);
+        let removed = self.network.remove_flows_owned_by(app.0);
+        self.expire(state, removed)
+    }
+
+    /// Reaps every flow on a switch whose control connection died, through
+    /// the seam: the deletion is journaled and each removed entry reaches
+    /// the ownership tracker, so its owner's rule quota is released and a
+    /// recovered kernel agrees. The flow-removed events are returned like
+    /// [`Kernel::deregister_app`]'s; the southbound reactor — the one
+    /// caller — has no dispatcher to hand them to and drops them.
+    pub fn reap_switch(&self, dpid: DatapathId) -> Vec<OutboundEvent> {
+        self.submit(Command::ReapSwitch { dpid }).1
     }
 
     /// Records an app crash in the audit log (`phase` says where it died,
@@ -1287,7 +1276,8 @@ impl Kernel {
     /// Apps subscribed to an event kind, in delivery order (interceptors
     /// first).
     pub fn subscribers(&self, kind: EventKind) -> Vec<AppId> {
-        self.subs_read()
+        self.subs_view
+            .load(&epoch::pin())
             .by_kind
             .get(kind_key(kind))
             .map(|subs| subs.iter().map(|(a, _)| *a).collect())
@@ -1298,7 +1288,8 @@ impl Kernel {
     /// delivery order. Interceptors must finish processing an event before
     /// non-interceptors see it (paper §IV-B, `EVENT_INTERCEPTION`).
     pub fn subscribers_phased(&self, kind: EventKind) -> Vec<(AppId, bool)> {
-        self.subs_read()
+        self.subs_view
+            .load(&epoch::pin())
             .by_kind
             .get(kind_key(kind))
             .cloned()
@@ -1307,7 +1298,8 @@ impl Kernel {
 
     /// Apps subscribed to a custom topic.
     pub fn topic_subscribers(&self, topic: &str) -> Vec<AppId> {
-        self.subs_read()
+        self.subs_view
+            .load(&epoch::pin())
             .custom
             .get(topic)
             .cloned()
@@ -1331,14 +1323,17 @@ impl Kernel {
         if !self.checks_enabled {
             return true;
         }
-        self.engine_for(app)
-            .is_some_and(|e| e.has_token(PermissionToken::ReadPayload))
+        self.with_registry(|reg| {
+            reg.engines
+                .get(&app)
+                .is_some_and(|e| e.has_token(PermissionToken::ReadPayload))
+        })
     }
 
-    /// Records packet-in payload provenance for a batch of deliveries under
-    /// one tracker write lock (one epoch bump per `record_pkt_in`, exactly
-    /// as the per-app [`Kernel::event_view_for`] would do, but without
-    /// re-acquiring the lock per app per event).
+    /// Records packet-in payload provenance for a batch of deliveries in one
+    /// command (one epoch bump per `record_pkt_in`, exactly as the per-app
+    /// [`Kernel::event_view_for`] would do, but without a submit per app per
+    /// event).
     pub(crate) fn record_pkt_ins(&self, grants: &[(AppId, Bytes)]) {
         if grants.is_empty() {
             return;
@@ -1354,14 +1349,8 @@ impl Kernel {
     pub fn event_view_for(&self, app: AppId, event: &Event) -> Option<Event> {
         match event {
             Event::PacketIn { dpid, packet_in } => {
-                let can_read = if self.checks_enabled {
-                    self.engine_for(app)
-                        .is_some_and(|e| e.has_token(PermissionToken::ReadPayload))
-                } else {
-                    true
-                };
                 let mut pi = packet_in.clone();
-                if can_read {
+                if self.payload_access_for(app) {
                     // Routed through the seam: the provenance grant is a
                     // tracker mutation and must replay.
                     self.record_pkt_ins(&[(app, pi.payload.clone())]);
@@ -1393,7 +1382,7 @@ impl Kernel {
 
     /// The registered name of an app (diagnostics/forensics).
     pub fn app_name(&self, app: AppId) -> Option<String> {
-        self.reg_read().app_names.get(&app).cloned()
+        self.with_registry(|reg| reg.app_names.get(&app).cloned())
     }
 
     /// Sends real bytes on an app's host connection, re-validating the
@@ -1408,9 +1397,15 @@ impl Kernel {
         outcome.into_ack()
     }
 
-    fn apply_host_send(&self, app: AppId, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
-        let dst = self
-            .host_lock()
+    fn apply_host_send(
+        &self,
+        state: &mut State,
+        app: AppId,
+        conn: ConnId,
+        data: Bytes,
+    ) -> Result<(), ApiError> {
+        let dst = state
+            .host
             .connections_by(app)
             .find(|c| c.id == conn)
             .map(|c| (c.dst_ip, c.dst_port));
@@ -1422,29 +1417,29 @@ impl Kernel {
         // The decision is the one `host_connect` to this destination would
         // get today, so it is checked — and traced — as that call.
         let connect = ApiCall::new(app, ApiCallKind::HostConnect { dst_ip, dst_port });
-        let engine = self.checked_engine(app);
-        self.authorize(engine.as_deref(), &connect, "host_send", "deputy")?;
-        self.host_lock().send(app, conn, data);
+        let engine = self.checked_engine(&state.registry, app);
+        self.authorize(engine, &state.tracker, &connect, "host_send", "deputy")?;
+        state.host.send(app, conn, data);
         self.audit_outcome(app, "host_send", PermissionToken::HostNetwork, true);
         Ok(())
     }
 
     /// Bytes an app has sent to the outside world via the host network.
+    /// Forensics: takes the commit lock, like the two accessors below.
     pub fn bytes_exfiltrated_by(&self, app: AppId) -> usize {
-        self.host_lock().bytes_exfiltrated_by(app)
+        self.commit.lock().host.bytes_exfiltrated_by(app)
     }
 
     /// Host connections opened by an app (forensics).
     pub fn connections_by(&self, app: AppId) -> Vec<crate::hostsys::Connection> {
-        self.host_lock().connections_by(app).cloned().collect()
+        let state = self.commit.lock();
+        state.host.connections_by(app).cloned().collect()
     }
 
-    /// Frames received by a host NIC during the simulation.
+    /// Frames received by a host NIC during the simulation (forensics).
     pub fn host_received(&self, mac: EthAddr) -> Vec<EthernetFrame> {
-        self.host_inbox_lock()
-            .get(&mac)
-            .cloned()
-            .unwrap_or_default()
+        let state = self.commit.lock();
+        state.host_inbox.get(&mac).cloned().unwrap_or_default()
     }
 
     /// Runs a closure with read access to the network (tests, benches).
@@ -1467,17 +1462,17 @@ impl Kernel {
     /// any recovery replay has finished — replay must never re-append the
     /// records it is consuming.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
-        let mut commit = self.commit.lock();
+        let mut state = self.commit.lock();
         let seq = journal
             .last_seq()
             .max(self.last_applied.load(Ordering::SeqCst));
         self.last_applied.store(seq, Ordering::SeqCst);
-        *commit = Some(journal);
+        state.journal = Some(journal);
     }
 
     /// The attached journal, if any.
     pub fn journal(&self) -> Option<Arc<Journal>> {
-        self.commit.lock().clone()
+        self.commit.lock().journal.clone()
     }
 
     /// Sequence number of the last applied command (0 before any).
@@ -1614,7 +1609,8 @@ impl Kernel {
     /// applies the whole batch under the held commit lock, releasing it on
     /// return. Returns the caller's own result — `Some` iff `own_cmd` was
     /// supplied; a parked waiter that won the lock re-reads its slot.
-    fn combine(&self, guard: CommitGuard<'_>, own_cmd: Option<Command>) -> Option<Submitted> {
+    fn combine(&self, mut guard: CommitGuard<'_>, own_cmd: Option<Command>) -> Option<Submitted> {
+        let state = &mut *guard;
         let had_own = own_cmd.is_some();
         // Batch entries in commit order — our own command first (it reached
         // the lock first), then ring arrival order.
@@ -1626,7 +1622,7 @@ impl Kernel {
             // A drain of exactly one command — every call on a single-writer
             // kernel, and a parked waiter serving itself — builds no batch.
             let (peer, cmd) = first;
-            let out = self.commit_one(&guard, cmd.expect("undrained entry"), had_own);
+            let out = self.commit_one(state, cmd.expect("undrained entry"), had_own);
             return match peer {
                 Some(peer) => {
                     peer.fulfill(out);
@@ -1651,9 +1647,9 @@ impl Kernel {
                 *result = Some((CommandOutcome::sealed_for(cmd), Vec::new()));
             }
         } else {
-            self.apply_batch(&mut batch, guard.is_some(), &mut results, &mut entries);
+            self.apply_batch(state, &mut batch, &mut results, &mut entries);
         }
-        if let Some(journal) = guard.as_ref() {
+        if let Some(journal) = state.journal.as_ref() {
             if !entries.is_empty() {
                 journal.append_batch(entries);
             }
@@ -1674,14 +1670,14 @@ impl Kernel {
 
     /// Commits a single command under the held lock: apply, sequence, and
     /// one single-record journal append.
-    fn commit_one(&self, commit: &CommitGuard<'_>, cmd: Command, own: bool) -> Submitted {
+    fn commit_one(&self, state: &mut State, cmd: Command, own: bool) -> Submitted {
         self.count_drain(1, own);
         if self.sealed.load(Ordering::SeqCst) {
             return (CommandOutcome::sealed_for(&cmd), Vec::new());
         }
-        let out = self.apply_command(&cmd);
+        let out = self.apply_command(state, &cmd);
         let seq = self.next_seq();
-        if let Some(journal) = commit.as_ref() {
+        if let Some(journal) = state.journal.as_ref() {
             journal.append(seq, self.audit.seen(), cmd);
         }
         out
@@ -1694,12 +1690,16 @@ impl Kernel {
     /// own audit records land, keeping per-record watermarks exact.
     fn apply_batch(
         &self,
+        state: &mut State,
         batch: &mut [BatchEntry],
-        journaling: bool,
         results: &mut [Option<Submitted>],
         entries: &mut Vec<(u64, u64, Command)>,
     ) {
-        let lanes = self.lanes.lock();
+        let journaling = state.journal.is_some();
+        // The pool leaves the state for the drain, so a lane run can borrow
+        // it alongside `&mut State`. (A panic mid-drain drops it: lanes stay
+        // off, and the serial path is equivalent by construction.)
+        let lanes = state.lanes.take();
         let n = batch.len();
         let mut i = 0;
         while i < n {
@@ -1708,10 +1708,12 @@ impl Kernel {
             if let Some(pool) = lanes.as_ref() {
                 let plans: Vec<FlowLanePlan<'_>> = batch[i..]
                     .iter()
-                    .map_while(|(_, cmd)| self.lane_plan(cmd.as_ref().expect("unapplied entry")))
+                    .map_while(|(_, cmd)| {
+                        self.lane_plan(state, cmd.as_ref().expect("unapplied entry"))
+                    })
                     .collect();
                 if plans.len() >= 2 {
-                    let outs = self.apply_flow_run(pool, plans);
+                    let outs = self.apply_flow_run(state, pool, plans);
                     for out in outs {
                         self.finish_entry(&mut batch[i], out, journaling, &mut results[i], entries);
                         i += 1;
@@ -1720,10 +1722,11 @@ impl Kernel {
                 }
             }
             let cmd = batch[i].1.as_ref().expect("unapplied entry");
-            let out = self.apply_command(cmd);
+            let out = self.apply_command(state, cmd);
             self.finish_entry(&mut batch[i], out, journaling, &mut results[i], entries);
             i += 1;
         }
+        state.lanes = lanes;
     }
 
     /// Assigns the next commit sequence to one applied batch entry, queues
@@ -1753,7 +1756,7 @@ impl Kernel {
     /// precomputed plan so the run applier never re-decides. Side-effect
     /// free: a run shorter than two discards its plan and the serial path
     /// decides again.
-    fn lane_plan<'a>(&self, cmd: &'a Command) -> Option<FlowLanePlan<'a>> {
+    fn lane_plan<'a>(&self, state: &State, cmd: &'a Command) -> Option<FlowLanePlan<'a>> {
         let Command::Call(call) = cmd else {
             return None;
         };
@@ -1762,13 +1765,13 @@ impl Kernel {
             | ApiCallKind::DeleteFlow { dpid, flow_mod } => (*dpid, flow_mod),
             _ => return None,
         };
-        if self.vtopo_for(call.app).is_some() {
+        if state.registry.vtopos.contains_key(&call.app) {
             return None;
         }
         // A stateful decision plan bails — the serial path decides those
-        // against a live tracker view.
-        let engine = self.checked_engine(call.app);
-        let decision = self.decide(engine.as_deref(), call, false)?;
+        // against the tracker.
+        let engine = self.checked_engine(&state.registry, call.app);
+        let decision = self.decide(engine, call, None)?;
         let stamped = decision
             .is_allowed()
             .then(|| stamp_cookie(call.app, flow_mod));
@@ -1787,7 +1790,12 @@ impl Kernel {
     /// artifacts the serial path would have produced, in the same
     /// per-command order. The RCU switch views touched by the run are
     /// republished once at the end of the group instead of per op.
-    fn apply_flow_run(&self, pool: &LanePool, plans: Vec<FlowLanePlan<'_>>) -> Vec<Submitted> {
+    fn apply_flow_run(
+        &self,
+        state: &mut State,
+        pool: &LanePool,
+        plans: Vec<FlowLanePlan<'_>>,
+    ) -> Vec<Submitted> {
         let n = plans.len();
         self.combiner.lane_runs.fetch_add(1, Ordering::Relaxed);
         // Phase 1: allowed mods dispatched to their home lanes.
@@ -1808,12 +1816,10 @@ impl Kernel {
             .fetch_max(jobs as u64, Ordering::Relaxed);
         // Phase 2: barrier — collect every lane result for this run.
         pool.collect(jobs, &mut applied);
-        // Phase 3a: ownership records for successful mods, in commit order,
-        // under one tracker write acquisition (amortizing the write lock
-        // the serial path takes once per mod).
+        // Phase 3a: ownership records for successful mods, in commit order.
         let any_ok = applied.iter().any(|a| matches!(a, Some(Ok(_))));
         if any_ok {
-            self.tracker_mut(|t| {
+            self.tracker_mut(state, |t| {
                 for (plan, outcome) in plans.iter().zip(&applied) {
                     if let (Some(stamped), Some(Ok(_))) = (plan.stamped.as_ref(), outcome) {
                         t.record_flow_mod(plan.call.app, plan.dpid, stamped);
@@ -1838,7 +1844,7 @@ impl Kernel {
                 }
                 Err(e) => (Err(ApiError::Switch(e)), Vec::new()),
             };
-            self.audit_outcome(call.app, op, call.required_token(), result.is_ok());
+            self.audit_call_outcome(call, result.is_ok());
             outs.push((CommandOutcome::Api(result), events));
         }
         // Batched RCU republish: one view rebuild per touched switch per
@@ -1853,7 +1859,9 @@ impl Kernel {
     /// additionally pins each lane thread to a core, best-effort.
     pub fn set_switch_lanes(&self, lanes: usize, pin: bool) {
         let pool = (lanes > 0).then(|| LanePool::new(Arc::clone(&self.network), lanes, pin));
-        *self.lanes.lock() = pool;
+        let mut state = self.commit.lock();
+        state.lanes = pool;
+        self.combiner.lanes.store(lanes as u64, Ordering::Relaxed);
     }
 
     /// Snapshot of the group-commit write pipeline's counters.
@@ -1883,15 +1891,15 @@ impl Kernel {
             lane_jobs: c.lane_jobs.load(Ordering::Relaxed),
             lane_runs: c.lane_runs.load(Ordering::Relaxed),
             max_lane_run: c.max_lane_run.load(Ordering::Relaxed),
-            lanes: self.lanes.lock().as_ref().map_or(0, LanePool::lane_count),
+            lanes: c.lanes.load(Ordering::Relaxed) as usize,
         }
     }
 
     /// Applies one command — the only way kernel state changes. Pure
     /// function of kernel state plus the command: no wall clock, no
     /// randomness — the determinism the whole recovery story rests on.
-    /// Callers hold the commit lock.
-    fn apply_command(&self, cmd: &Command) -> Submitted {
+    /// `state` is the commit guard's, so the caller holds the lock.
+    fn apply_command(&self, state: &mut State, cmd: &Command) -> Submitted {
         let ack = |events| (CommandOutcome::Ack(Ok(())), events);
         match cmd {
             Command::RegisterApp {
@@ -1905,42 +1913,46 @@ impl Kernel {
                         // replaying a lint-rejected registration re-derives
                         // the same rejection.
                         let lint = self.lint_on_register.load(Ordering::SeqCst);
-                        self.apply_register(*app, name, &set, manifest, lint)
+                        self.apply_register(state, *app, name, &set, manifest, lint)
                     }
                     Err(e) => Err(ApiError::ManifestRejected(e.to_string())),
                 };
                 (CommandOutcome::Ack(result), Vec::new())
             }
-            Command::DeregisterApp { app } => ack(self.apply_deregister(*app)),
+            Command::DeregisterApp { app } => ack(self.apply_deregister(state, *app)),
             Command::Call(call) => {
-                let (result, events) = self.apply_call(call);
+                let (result, events) = self.apply_call(state, call);
                 (CommandOutcome::Api(result), events)
             }
             Command::Transaction { app, ops } => {
-                let (result, events) = self.run_atomic(*app, ops, "transaction");
+                let (result, events) = self.run_atomic(state, *app, ops, "transaction");
                 (CommandOutcome::Api(result), events)
             }
             Command::Batch { app, ops } => {
-                let (result, events) = self.run_atomic(*app, ops, "batch");
+                let (result, events) = self.run_atomic(state, *app, ops, "batch");
                 (CommandOutcome::Api(result), events)
             }
             Command::PacketOuts { app, outs } => {
-                let (result, events) = self.apply_packet_outs(*app, outs);
+                let (result, events) = self.apply_packet_outs(state, *app, outs);
                 (CommandOutcome::Count(result), events)
             }
             Command::HostSend { app, conn, data } => {
-                let result = self.apply_host_send(*app, ConnId(*conn), data.clone());
+                let result = self.apply_host_send(state, *app, ConnId(*conn), data.clone());
                 (CommandOutcome::Ack(result), Vec::new())
             }
             Command::SubscribeTopic { app, topic } => {
-                let mut subs = self.subs_write();
-                let subs = subs.custom.entry(topic.clone()).or_default();
-                if !subs.contains(app) {
-                    subs.push(*app);
-                }
+                self.subs_mut(state, |subs| {
+                    let subs = subs.custom.entry(topic.clone()).or_default();
+                    if !subs.contains(app) {
+                        subs.push(*app);
+                    }
+                });
                 ack(Vec::new())
             }
-            Command::AdvanceClock { secs } => ack(self.expire(self.network.advance_clock(*secs))),
+            Command::AdvanceClock { secs } => {
+                let removed = self.network.advance_clock(*secs);
+                ack(self.expire(state, removed))
+            }
             Command::FailLink { a, b } => {
                 let failed = self.network.with_topology_mut(|t| t.remove_link(*a, *b));
                 ack(failed
@@ -1954,17 +1966,32 @@ impl Kernel {
             }
             Command::InjectHostFrame { frame } => {
                 ack(match self.network.inject_from_host(frame.clone()) {
-                    Ok(deliveries) => self.absorb_deliveries(deliveries),
+                    Ok(deliveries) => self.absorb_deliveries(state, deliveries),
                     Err(_) => Vec::new(),
                 })
             }
             Command::RecordPktIns { grants } => {
-                self.tracker_mut(|tracker| {
+                self.tracker_mut(state, |tracker| {
                     for (app, payload) in grants {
                         tracker.record_pkt_in(*app, payload);
                     }
                 });
                 ack(Vec::new())
+            }
+            Command::ReapSwitch { dpid } => {
+                // Delete-all, then the expiry path: every removed entry
+                // reaches `record_expiry`, releasing its owner's quota.
+                let removed = self
+                    .network
+                    .apply_flow_mod(*dpid, &FlowMod::delete(FlowMatch::any()))
+                    .unwrap_or_default()
+                    .into_iter()
+                    .map(|removed| RemovedFlow {
+                        dpid: *dpid,
+                        removed,
+                    })
+                    .collect();
+                ack(self.expire(state, removed))
             }
         }
     }
@@ -1975,14 +2002,14 @@ impl Kernel {
     /// is applied exactly once. Audit records re-derived during replay are
     /// tagged `replay:`. Returns how many records were applied.
     pub fn replay_records(&self, records: &[JournalRecord]) -> usize {
-        let _commit = self.commit.lock();
+        let mut state = self.commit.lock();
         self.replaying.store(true, Ordering::SeqCst);
         let mut applied = 0;
         for rec in records {
             if rec.seq <= self.last_applied.load(Ordering::SeqCst) {
                 continue;
             }
-            let _ = self.apply_command(&rec.cmd);
+            let _ = self.apply_command(&mut state, &rec.cmd);
             self.last_applied.store(rec.seq, Ordering::SeqCst);
             applied += 1;
         }
@@ -1995,12 +2022,9 @@ impl Kernel {
     /// The result doubles as the equivalence digest the differential
     /// recovery tests compare ([`KernelSnapshot::state_eq`]).
     pub fn snapshot(&self) -> KernelSnapshot {
-        let _commit = self.commit.lock();
-        // Subsystems are read strictly one at a time in hierarchy order —
-        // the commit lock already excludes writers, so sequential reads
-        // still form a consistent cut.
+        let state = self.commit.lock();
         let apps = {
-            let reg = self.reg_read();
+            let reg = &state.registry;
             let mut apps: Vec<(AppId, String, String)> = reg
                 .app_names
                 .iter()
@@ -2016,7 +2040,7 @@ impl Kernel {
             apps
         };
         let (subs_by_kind, subs_custom) = {
-            let subs = self.subs_read();
+            let subs = &state.subs;
             (
                 subs.by_kind
                     .iter()
@@ -2028,7 +2052,7 @@ impl Kernel {
                     .collect(),
             )
         };
-        let tracker = self.tracker_read().snapshot();
+        let tracker = state.tracker.snapshot();
         let (links, mut dpids) = {
             let topo = self.network.topology();
             let links: Vec<(DatapathId, DatapathId)> =
@@ -2050,9 +2074,9 @@ impl Kernel {
                 });
             }
         }
-        let host = self.host_lock().snapshot();
-        let host_inbox = self
-            .host_inbox_lock()
+        let host = state.host.snapshot();
+        let host_inbox = state
+            .host_inbox
             .iter()
             .map(|(mac, frames)| (*mac, frames.clone()))
             .collect();
@@ -2067,9 +2091,7 @@ impl Kernel {
             lint_on_register: self
                 .lint_on_register
                 .load(std::sync::atomic::Ordering::SeqCst),
-            registry_epoch: self
-                .registry_epoch
-                .load(std::sync::atomic::Ordering::SeqCst),
+            registry_epoch: state.registry.epoch,
             apps,
             subs_by_kind,
             subs_custom,
@@ -2113,48 +2135,40 @@ impl Kernel {
                 kernel.network.with_topology_mut(|t| t.remove_link(a, b));
             }
         }
-        // Re-register apps from canonical manifest text, recompiling the
-        // identical engines. No lint: these manifests were admitted before
-        // the crash.
-        for (app, name, text) in &snapshot.apps {
-            if let Ok(set) = sdnshield_core::lang::parse_manifest(text) {
-                let _ = kernel.apply_register(*app, name, &set, text, false);
-            }
-        }
-        kernel
-            .registry_epoch
-            .store(snapshot.registry_epoch, std::sync::atomic::Ordering::SeqCst);
         {
-            let mut subs = kernel.subs_write();
-            subs.by_kind.clear();
-            for (kind, list) in &snapshot.subs_by_kind {
-                if let Some(k) = static_kind(kind) {
-                    subs.by_kind.insert(k, list.clone());
+            let mut state = kernel.commit.lock();
+            // Re-register apps from canonical manifest text, recompiling the
+            // identical engines. No lint: these manifests were admitted
+            // before the crash.
+            for (app, name, text) in &snapshot.apps {
+                if let Ok(set) = sdnshield_core::lang::parse_manifest(text) {
+                    let _ = kernel.apply_register(&mut state, *app, name, &set, text, false);
                 }
             }
-            subs.custom.clear();
-            for (topic, list) in &snapshot.subs_custom {
-                subs.custom.insert(topic.clone(), list.clone());
+            kernel.registry_mut(&mut state, |reg| reg.epoch = snapshot.registry_epoch);
+            kernel.subs_mut(&mut state, |subs| {
+                subs.by_kind = snapshot
+                    .subs_by_kind
+                    .iter()
+                    .filter_map(|(kind, list)| Some((static_kind(kind)?, list.clone())))
+                    .collect();
+                subs.custom = snapshot.subs_custom.iter().cloned().collect();
+            });
+            kernel.tracker_mut(&mut state, |tracker| {
+                *tracker = OwnershipTracker::restore(&snapshot.tracker)
+            });
+            for sw in &snapshot.switches {
+                if let Some(mut s) = kernel.network.switch(sw.dpid) {
+                    s.restore_state(
+                        sw.entries.clone(),
+                        sw.lookup_count,
+                        sw.matched_count,
+                        sw.port_stats.clone(),
+                    );
+                }
             }
-        }
-        kernel.tracker_mut(|tracker| *tracker = OwnershipTracker::restore(&snapshot.tracker));
-        for sw in &snapshot.switches {
-            if let Some(mut s) = kernel.network.switch(sw.dpid) {
-                s.restore_state(
-                    sw.entries.clone(),
-                    sw.lookup_count,
-                    sw.matched_count,
-                    sw.port_stats.clone(),
-                );
-            }
-        }
-        *kernel.host_lock() = HostSystem::restore(&snapshot.host);
-        {
-            let mut inbox = kernel.host_inbox_lock();
-            inbox.clear();
-            for (mac, frames) in &snapshot.host_inbox {
-                inbox.insert(*mac, frames.clone());
-            }
+            state.host = HostSystem::restore(&snapshot.host);
+            state.host_inbox = snapshot.host_inbox.iter().cloned().collect();
         }
         // Seed audit numbering at the watermark of the last durable record
         // (or the snapshot's, when the suffix is empty): replayed audit
@@ -2182,27 +2196,27 @@ impl Kernel {
         kernel
     }
 
-    /// Performs an already-authorized call.
-    fn perform(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
+    /// Serves an already-authorized read — one of the three kinds that
+    /// mutate nothing and emit no events — from the network and `registry`
+    /// alone. Shared by the fast lane (the published view) and the seam
+    /// (the guard's own copy).
+    fn serve_read(&self, registry: &Registry, call: &ApiCall) -> Result<ApiResponse, ApiError> {
         let app = call.app;
         match &call.kind {
             ApiCallKind::ReadFlowTable { dpid, query } => {
-                let reply = match self
+                let reply = self
                     .network
                     .stats(*dpid, &StatsRequest::Flow(query.clone()))
-                {
-                    Ok(r) => r,
-                    Err(e) => return (Err(ApiError::Switch(e)), Vec::new()),
-                };
+                    .map_err(ApiError::Switch)?;
                 let StatsReply::Flow(entries) = reply else {
                     unreachable!("flow request yields flow reply");
                 };
                 let visible = if self.checks_enabled {
-                    let engine = self.engine_for(app);
+                    let engine = registry.engines.get(&app);
                     entries
                         .into_iter()
                         .filter(|e| {
-                            engine.as_ref().is_some_and(|engine| {
+                            engine.is_some_and(|engine| {
                                 engine.entry_visible(
                                     PermissionToken::ReadFlowTable,
                                     &e.flow_match,
@@ -2215,13 +2229,48 @@ impl Kernel {
                 } else {
                     entries
                 };
-                (Ok(ApiResponse::FlowEntries(visible)), Vec::new())
+                Ok(ApiResponse::FlowEntries(visible))
+            }
+            ApiCallKind::ReadTopology => {
+                Ok(ApiResponse::Topology(self.topology_view_for(registry, app)))
+            }
+            ApiCallKind::ReadStatistics { dpid, request } => {
+                // Virtual-topology apps fan out to members and aggregate.
+                if let Some(vt) = registry.vtopos.get(&app) {
+                    let members = vt
+                        .expand_members(*dpid)
+                        .map_err(|e| ApiError::Vtopo(e.to_string()))?;
+                    let mut replies = Vec::new();
+                    for m in members {
+                        replies.push(self.network.stats(m, request).map_err(ApiError::Switch)?);
+                    }
+                    return Ok(ApiResponse::Stats(vt.aggregate_stats(replies)));
+                }
+                self.network
+                    .stats(*dpid, request)
+                    .map(ApiResponse::Stats)
+                    .map_err(ApiError::Switch)
+            }
+            _ => unreachable!("serve_read is only handed the three read kinds"),
+        }
+    }
+
+    /// Performs an already-authorized call.
+    fn perform(
+        &self,
+        state: &mut State,
+        call: &ApiCall,
+    ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
+        let app = call.app;
+        match &call.kind {
+            ApiCallKind::ReadTopology
+            | ApiCallKind::ReadFlowTable { .. }
+            | ApiCallKind::ReadStatistics { .. } => {
+                (self.serve_read(&state.registry, call), Vec::new())
             }
             ApiCallKind::InsertFlow { dpid, flow_mod }
-            | ApiCallKind::DeleteFlow { dpid, flow_mod } => self.apply_flow(app, *dpid, flow_mod),
-            ApiCallKind::ReadTopology => {
-                let view = self.topology_view_for(app);
-                (Ok(ApiResponse::Topology(view)), Vec::new())
+            | ApiCallKind::DeleteFlow { dpid, flow_mod } => {
+                self.apply_flow(state, app, *dpid, flow_mod)
             }
             ApiCallKind::ModifyTopology { dpid } => {
                 // Simulated: announce a change only.
@@ -2231,30 +2280,6 @@ impl Kernel {
                     },
                 };
                 (Ok(ApiResponse::Unit), vec![ev])
-            }
-            ApiCallKind::ReadStatistics { dpid, request } => {
-                // Virtual-topology apps fan out to members and aggregate.
-                if let Some(vt) = self.vtopo_for(app) {
-                    let members = match vt.expand_members(*dpid) {
-                        Ok(m) => m,
-                        Err(e) => return (Err(ApiError::Vtopo(e.to_string())), Vec::new()),
-                    };
-                    let mut replies = Vec::new();
-                    for m in members {
-                        match self.network.stats(m, request) {
-                            Ok(r) => replies.push(r),
-                            Err(e) => return (Err(ApiError::Switch(e)), Vec::new()),
-                        }
-                    }
-                    return (
-                        Ok(ApiResponse::Stats(vt.aggregate_stats(replies))),
-                        Vec::new(),
-                    );
-                }
-                match self.network.stats(*dpid, request) {
-                    Ok(r) => (Ok(ApiResponse::Stats(r)), Vec::new()),
-                    Err(e) => (Err(ApiError::Switch(e)), Vec::new()),
-                }
             }
             ApiCallKind::ReadPayload { .. } => (Ok(ApiResponse::Unit), Vec::new()),
             ApiCallKind::SendPacketOut { dpid, packet_out } => {
@@ -2270,8 +2295,8 @@ impl Kernel {
                     }
                 };
                 // Resolve virtual output ports for vtopo apps.
-                let (phys_dpid, actions) = match self.vtopo_for(app) {
-                    Some(vt) => match resolve_vtopo_packet_out(&vt, *dpid, packet_out) {
+                let (phys_dpid, actions) = match state.registry.vtopos.get(&app) {
+                    Some(vt) => match resolve_vtopo_packet_out(vt, *dpid, packet_out) {
                         Ok(x) => x,
                         Err(e) => return (Err(ApiError::Vtopo(e)), Vec::new()),
                     },
@@ -2282,7 +2307,7 @@ impl Kernel {
                     .inject_packet_out(phys_dpid, packet_out.in_port, frame, actions)
                 {
                     Ok(deliveries) => {
-                        let events = self.absorb_deliveries(deliveries);
+                        let events = self.absorb_deliveries(state, deliveries);
                         (Ok(ApiResponse::Unit), events)
                     }
                     Err(e) => (Err(ApiError::Switch(e)), Vec::new()),
@@ -2292,8 +2317,10 @@ impl Kernel {
                 // The EVENT_INTERCEPTION callback filter (paper §IV-B) lets
                 // an app consume events ahead of others: interceptors sort
                 // to the front of the delivery order.
-                let intercepts = self
-                    .engine_for(app)
+                let intercepts = state
+                    .registry
+                    .engines
+                    .get(&app)
                     .and_then(|e| {
                         e.filter_for(call.required_token()).map(|f| {
                             f.atoms().iter().any(|a| {
@@ -2307,25 +2334,26 @@ impl Kernel {
                         })
                     })
                     .unwrap_or(false);
-                let mut subs = self.subs_write();
-                let subs = subs.by_kind.entry(kind_key(*kind)).or_default();
-                if !subs.iter().any(|(a, _)| *a == app) {
-                    if intercepts {
-                        subs.insert(0, (app, true));
-                    } else {
-                        subs.push((app, false));
+                self.subs_mut(state, |subs| {
+                    let subs = subs.by_kind.entry(kind_key(*kind)).or_default();
+                    if !subs.iter().any(|(a, _)| *a == app) {
+                        if intercepts {
+                            subs.insert(0, (app, true));
+                        } else {
+                            subs.push((app, false));
+                        }
                     }
-                }
+                });
                 (Ok(ApiResponse::Subscribed(*kind)), Vec::new())
             }
             ApiCallKind::HostConnect { dst_ip, dst_port } => {
-                let id = self.host_lock().connect(app, *dst_ip, *dst_port);
+                let id = state.host.connect(app, *dst_ip, *dst_port);
                 (Ok(ApiResponse::Connection(id)), Vec::new())
             }
             ApiCallKind::HostSend { conn, len } => {
                 // The deputy pre-validated the destination; record the send.
-                let ok = self
-                    .host_lock()
+                let ok = state
+                    .host
                     .send(app, ConnId(*conn), Bytes::from(vec![0u8; *len]));
                 if ok {
                     (Ok(ApiResponse::Unit), Vec::new())
@@ -2341,11 +2369,11 @@ impl Kernel {
                 }
             }
             ApiCallKind::FileOpen { path, write } => {
-                self.host_lock().open_file(app, path.clone(), *write);
+                state.host.open_file(app, path.clone(), *write);
                 (Ok(ApiResponse::Unit), Vec::new())
             }
             ApiCallKind::ProcessExec { program } => {
-                self.host_lock().exec(app, program.clone());
+                state.host.exec(app, program.clone());
                 (Ok(ApiResponse::Unit), Vec::new())
             }
         }
@@ -2353,15 +2381,15 @@ impl Kernel {
 
     /// Applies a flow-mod, translating through the app's virtual topology
     /// when one is granted, stamping ownership cookies, and recording
-    /// ownership. Takes only the target switch's lock (per target), then
-    /// the tracker write lock — never both at once.
+    /// ownership.
     fn apply_flow(
         &self,
+        state: &mut State,
         app: AppId,
         dpid: DatapathId,
         flow_mod: &FlowMod,
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        let targets: Vec<(DatapathId, FlowMod)> = match self.vtopo_for(app) {
+        let targets: Vec<(DatapathId, FlowMod)> = match state.registry.vtopos.get(&app) {
             Some(vt) => match vt.translate_flow_mod(dpid, flow_mod) {
                 Ok(t) => t,
                 Err(e) => return (Err(ApiError::Vtopo(e.to_string())), Vec::new()),
@@ -2373,7 +2401,7 @@ impl Kernel {
             let stamped = stamp_cookie(app, &fm);
             match self.network.apply_flow_mod(d, &stamped) {
                 Ok(removed) => {
-                    self.tracker_mut(|t| t.record_flow_mod(app, d, &stamped));
+                    self.tracker_mut(state, |t| t.record_flow_mod(app, d, &stamped));
                     events.extend(removed_events(d, &removed));
                 }
                 Err(e) => return (Err(ApiError::Switch(e)), events),
@@ -2385,6 +2413,7 @@ impl Kernel {
     /// Rolls back one applied transaction operation.
     fn rollback(
         &self,
+        state: &mut State,
         app: AppId,
         op: &FlowOp,
         removed: Vec<sdnshield_openflow::flow_table::RemovedEntry>,
@@ -2396,7 +2425,7 @@ impl Kernel {
                 let mut undo = stamped.clone();
                 undo.command = FlowModCommand::DeleteStrict;
                 let _ = self.network.apply_flow_mod(op.dpid, &undo);
-                self.tracker_mut(|t| t.record_flow_mod(app, op.dpid, &undo));
+                self.tracker_mut(state, |t| t.record_flow_mod(app, op.dpid, &undo));
             }
             FlowModCommand::Delete | FlowModCommand::DeleteStrict => {}
         }
@@ -2415,12 +2444,16 @@ impl Kernel {
     }
 
     /// Converts data-plane deliveries into inbox records + packet-in events.
-    fn absorb_deliveries(&self, deliveries: Vec<Delivery>) -> Vec<OutboundEvent> {
+    fn absorb_deliveries(
+        &self,
+        state: &mut State,
+        deliveries: Vec<Delivery>,
+    ) -> Vec<OutboundEvent> {
         let mut events = Vec::new();
         for d in deliveries {
             match d {
                 Delivery::ToHost { mac, frame } => {
-                    self.host_inbox_lock().entry(mac).or_default().push(frame);
+                    state.host_inbox.entry(mac).or_default().push(frame);
                 }
                 Delivery::ToController { dpid, packet_in } => {
                     events.push(OutboundEvent {
@@ -2433,16 +2466,10 @@ impl Kernel {
         events
     }
 
-    /// Builds the topology view an app is allowed to see. Registry state is
-    /// cloned out first, so the topology read lock is never nested inside
-    /// (or under) another subsystem lock here.
-    fn topology_view_for(&self, app: AppId) -> TopologyView {
+    /// Builds the topology view an app is allowed to see.
+    fn topology_view_for(&self, registry: &Registry, app: AppId) -> TopologyView {
         let (vtopo, engine) = if self.checks_enabled {
-            let reg = self.reg_read();
-            (
-                reg.vtopos.get(&app).cloned(),
-                reg.engines.get(&app).cloned(),
-            )
+            (registry.vtopos.get(&app), registry.engines.get(&app))
         } else {
             (None, None)
         };
@@ -2465,7 +2492,6 @@ impl Kernel {
             };
         }
         let phys_filter: Option<&SingletonFilter> = engine
-            .as_ref()
             .and_then(|e| e.filter_for(PermissionToken::VisibleTopology))
             .and_then(find_phys_topo_atom);
         let visible_switch = |d: DatapathId| match phys_filter {
@@ -2637,7 +2663,6 @@ mod tests {
     use sdnshield_core::lang::parse_manifest;
     use sdnshield_netsim::topology::builders;
     use sdnshield_openflow::actions::ActionList;
-    use sdnshield_openflow::flow_match::FlowMatch;
     use sdnshield_openflow::types::PortNo;
     use sdnshield_openflow::types::{Ipv4, Priority};
 
@@ -3165,6 +3190,23 @@ mod tests {
         let events = kernel.advance_clock(10);
         assert_eq!(events.len(), 1);
         assert!(matches!(events[0].event, Event::FlowRemoved { .. }));
+    }
+
+    #[test]
+    fn reaping_a_switch_releases_its_owners_rule_quota() {
+        let (kernel, app) = kernel_with("PERM insert_flow LIMITING MAX_RULE_COUNT 2");
+        kernel.execute(&insert(app, 1, 80)).0.unwrap();
+        kernel.execute(&insert(app, 1, 81)).0.unwrap();
+        assert!(kernel
+            .execute(&insert(app, 1, 82))
+            .0
+            .unwrap_err()
+            .is_denied());
+        // The switch's control connection dies: both entries leave the
+        // table AND the ownership tracker.
+        assert_eq!(kernel.reap_switch(DatapathId(1)).len(), 2);
+        assert_eq!(kernel.flow_count(DatapathId(1)), 0);
+        kernel.execute(&insert(app, 1, 82)).0.unwrap();
     }
 
     #[test]

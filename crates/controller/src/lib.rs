@@ -14,9 +14,8 @@
 //! point), [`api`] (typed call/response surface), [`events`], [`hostsys`]
 //! (the simulated host OS that Class-2 attacks exfiltrate through),
 //! [`audit`] (forensic activity log), [`fault`] (the fault-injection harness
-//! driving the crash-containment tests), [`lockorder`] (debug-build
-//! assertions for the kernel's documented lock hierarchy), [`command`] (the
-//! serializable command vocabulary and kernel snapshot format), [`journal`]
+//! driving the crash-containment tests), [`command`] (the serializable
+//! command vocabulary and kernel snapshot format), [`journal`]
 //! (the durable CRC-framed command log behind crash recovery, record/replay
 //! debugging, and warm-standby failover — DESIGN.md §12).
 
@@ -34,7 +33,6 @@ pub mod hostsys;
 pub mod isolation;
 pub mod journal;
 pub mod kernel;
-pub mod lockorder;
 pub mod monolithic;
 pub mod southbound;
 

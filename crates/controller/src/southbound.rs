@@ -20,7 +20,7 @@
 //!     (FEATURES_REQUEST sent)  AwaitFeatures ──FEATURES_REPLY(dpid)──▶ Ready
 //! ```
 //!
-//! `Ready` requires the claimed datapath to exist in the [`Network`]
+//! `Ready` requires the claimed datapath to exist in the network
 //! topology and to be unclaimed by another live connection; the reactor
 //! then registers a [`WireEgress`] so every mediated flow-mod/packet-out
 //! for that datapath is mirrored onto the socket. Steady state is
@@ -48,12 +48,11 @@ use std::time::Duration;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sdnshield_netsim::network::{Network, WireEgress};
+use sdnshield_netsim::network::WireEgress;
 use sdnshield_openflow::messages::{FlowMod, OfBody, PacketIn, PacketOut};
 use sdnshield_openflow::southbound::{StreamDecoder, WriteRing};
 use sdnshield_openflow::types::{DatapathId, Xid};
 use sdnshield_openflow::wire::msg_type;
-use sdnshield_openflow::FlowMatch;
 
 use crate::isolation::ShieldedController;
 
@@ -275,10 +274,6 @@ impl Reactor {
     /// A copy of the reactor's counters.
     pub fn stats(&self) -> SouthboundStats {
         self.stats.snapshot()
-    }
-
-    fn network<R>(&self, f: impl FnOnce(&Network) -> R) -> R {
-        self.controller.kernel().with_network(f)
     }
 
     /// One readiness sweep at virtual time `tick`: accept, per-connection
@@ -552,18 +547,18 @@ impl Reactor {
     }
 
     /// Tears one connection down: deregister its wire egress, reap the
-    /// flows it installed through the network's existing delete path, close
-    /// the socket.
+    /// flows on its switch through the kernel seam (journaled, and the
+    /// owners' rule quotas released), close the socket. The reap's
+    /// flow-removed events are dropped: the reactor has no dispatcher.
     fn close_conn(&mut self, conn: Conn) {
         self.stats.closed.fetch_add(1, Ordering::Relaxed);
         if let Some(dpid) = conn.dpid {
             self.claimed.remove(&dpid);
-            self.network(|n| {
-                n.deregister_wire_egress(dpid);
-                // Reap after deregistration so the delete is not mirrored
-                // back onto the (dead) wire.
-                let _ = n.apply_flow_mod(dpid, &FlowMod::delete(FlowMatch::any()));
-            });
+            let kernel = self.controller.kernel();
+            // Reap after deregistration so the delete is not mirrored back
+            // onto the (dead) wire.
+            kernel.with_network(|n| n.deregister_wire_egress(dpid));
+            let _ = kernel.reap_switch(dpid);
         }
         let _ = conn.stream.shutdown(Shutdown::Both);
     }

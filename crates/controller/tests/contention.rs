@@ -4,21 +4,23 @@
 //! shared shard) or overlap on one switch (full contention). On a kernel
 //! with **no journal attached**, racing inserts never overshoot a rule quota
 //! and a snapshot never cuts a transaction in half — check and apply are one
-//! step at the mutation seam (DESIGN.md §6).
+//! step at the mutation seam (DESIGN.md §6). Off-lock readers racing
+//! registration churn never see a torn registry, and a revocation is
+//! visible to them the moment `deregister_app` returns.
 //!
 //! The `#[ignore]`d tier-2 test at the bottom asserts the paper's §IX-B2
 //! scaling claim on the mixed workload (≥1.5× throughput from 1 → 4
 //! deputies); it needs real hardware parallelism, so it does not run in
 //! single-core CI.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use sdnshield_controller::journal::Journal;
 use sdnshield_controller::kernel::Kernel;
 use sdnshield_controller::FlowOp;
-use sdnshield_core::api::{ApiCall, ApiCallKind, AppId};
+use sdnshield_core::api::{ApiCall, ApiCallKind, AppId, EventKind};
 use sdnshield_core::lang::parse_manifest;
 use sdnshield_netsim::network::Network;
 use sdnshield_netsim::topology::builders;
@@ -259,6 +261,77 @@ fn snapshots_never_cut_a_transaction_in_half() {
             }
         }
         stop.store(true, Ordering::SeqCst);
+    });
+}
+
+/// Two readers serve fast-lane reads and subscriber lookups off the commit
+/// lock while the main thread registers, subscribes and reaps app B 2000
+/// times. The generation counter is odd while B may exist and even once
+/// `deregister_app` has returned: a read that starts and ends inside one
+/// even generation must not find B's engine or its subscription, and the
+/// resident app A is never disturbed.
+#[test]
+fn registration_churn_never_tears_or_outlives_a_read() {
+    const ROUNDS: usize = 2000;
+    let (a, b) = (AppId(1), AppId(2));
+    let kernel = Kernel::new(Network::new(builders::linear(2), 1024), true);
+    let resident = parse_manifest("PERM read_flow_table").unwrap();
+    kernel.register_app(a, "resident", &resident).unwrap();
+    let churned = parse_manifest("PERM read_flow_table\nPERM pkt_in_event").unwrap();
+    let read = |app| {
+        ApiCall::new(
+            app,
+            ApiCallKind::ReadFlowTable {
+                dpid: DatapathId(1),
+                query: FlowMatch::any(),
+            },
+        )
+    };
+    let subscribe = ApiCall::new(
+        b,
+        ApiCallKind::Subscribe {
+            kind: EventKind::PacketIn,
+        },
+    );
+    let generation = AtomicU64::new(0);
+    let start = Barrier::new(3);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                start.wait();
+                while !stop.load(Ordering::SeqCst) {
+                    // The churn never touches the tracker, so no hit on the
+                    // resident app is ever abandoned.
+                    let resident = kernel.try_serve_read(&read(a));
+                    assert!(matches!(resident, Some(Ok(_))), "A read: {resident:?}");
+                    let before = generation.load(Ordering::SeqCst);
+                    let served = kernel.try_serve_read(&read(b));
+                    let subscribers = kernel.subscribers_phased(EventKind::PacketIn);
+                    if before.is_multiple_of(2) && generation.load(Ordering::SeqCst) == before {
+                        assert!(
+                            !matches!(served, Some(Ok(_))),
+                            "generation {before}: read served for a reaped app"
+                        );
+                        assert!(
+                            subscribers.iter().all(|(app, _)| *app != b),
+                            "generation {before}: event routed to a reaped app"
+                        );
+                    }
+                }
+            });
+        }
+        start.wait();
+        let churned_ok = (0..ROUNDS).all(|_| {
+            generation.fetch_add(1, Ordering::SeqCst);
+            let ok = kernel.register_app(b, "churned", &churned).is_ok()
+                && kernel.execute(&subscribe).0.is_ok();
+            kernel.deregister_app(b);
+            generation.fetch_add(1, Ordering::SeqCst);
+            ok
+        });
+        stop.store(true, Ordering::SeqCst);
+        assert!(churned_ok, "every round registers and subscribes B");
     });
 }
 

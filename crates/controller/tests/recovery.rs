@@ -142,6 +142,9 @@ enum Step {
     },
     RegisterExtra,
     DeregisterExtra,
+    ReapSwitch {
+        dpid: u64,
+    },
 }
 
 fn arb_step() -> impl Strategy<Value = Step> {
@@ -164,6 +167,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
         (0u8..3).prop_map(|topic| Step::Subscribe { topic }),
         Just(Step::RegisterExtra),
         Just(Step::DeregisterExtra),
+        (1u64..=3).prop_map(|dpid| Step::ReapSwitch { dpid }),
     ]
 }
 
@@ -212,6 +216,9 @@ fn apply_step(kernel: &Kernel, step: &Step) {
         }
         Step::DeregisterExtra => {
             let _ = kernel.deregister_app(EXTRA);
+        }
+        Step::ReapSwitch { dpid } => {
+            let _ = kernel.reap_switch(DatapathId(*dpid));
         }
     }
 }
@@ -302,6 +309,29 @@ fn snapshot_plus_suffix_replay_matches_live() {
         "snapshot + journal suffix must reproduce the live kernel"
     );
     assert_eq!(recovered.last_applied(), journal.last_seq());
+}
+
+#[test]
+fn reaped_switch_replays_from_the_suffix() {
+    let (live, journal) = journaled_kernel();
+    for tp in [80, 81] {
+        live.execute(&insert_call(PRIV, tp, 10, 0, 1)).0.unwrap();
+    }
+    live.execute(&insert_call(PRIV, 82, 10, 0, 2)).0.unwrap();
+    let snap = live.snapshot();
+    // The switch's control connection dies after the snapshot: the reap is
+    // a journaled command, so recovery must not resurrect its flows.
+    assert_eq!(live.reap_switch(DatapathId(1)).len(), 2);
+    live.execute(&insert_call(PRIV, 83, 10, 0, 1)).0.unwrap();
+    let trace = journal.trace();
+    assert_eq!(trace[trace.len() - 2].cmd.name(), "reap_switch");
+    let recovered = Kernel::recover(net(), &snap, &journal);
+    assert_eq!(recovered.flow_count(DatapathId(1)), 1);
+    assert_eq!(recovered.flow_count(DatapathId(2)), 1);
+    assert!(
+        recovered.snapshot().state_eq(&live.snapshot()),
+        "a reap in the suffix must replay to the live kernel's tables and tracker"
+    );
 }
 
 #[test]

@@ -22,7 +22,7 @@
 //! under a small writer mutex.
 //!
 //! Lock ordering: **at most one switch lock at a time**, and the RCU cells
-//! are outside the ranked lock set entirely (pinning never blocks). The
+//! are not locks at all (pinning never blocks). The
 //! data-plane walk releases a switch's lock before following a link into
 //! the next switch (`step` computes the forwarding decision under the
 //! lock, then recurses lock-free), so concurrent walks in opposite
@@ -103,8 +103,8 @@ pub enum DropReason {
 /// Contract: implementations must be cheap and non-blocking (queue +
 /// counted shed, never a socket write in the caller's thread beyond a
 /// nonblocking push), and must **not** call back into [`Network`] — the
-/// notification runs after the shard lock is dropped but callbacks
-/// re-entering the network would re-order the lock ranks.
+/// notification runs after the shard lock is dropped, but the caller may
+/// still hold the kernel's commit lock.
 pub trait WireEgress: Send + Sync {
     /// A flow-mod the kernel successfully applied for this switch.
     fn flow_mod(&self, fm: &FlowMod);

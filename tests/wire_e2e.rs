@@ -222,6 +222,8 @@ fn echo_liveness_timeout_reaps_connection_and_flows() {
         ..SouthboundConfig::default()
     };
     let (controller, mut reactor, mut tick, mut stream, mut dec) = handshaken_raw_conn(config);
+    let journal = Arc::new(sdnshield::controller::journal::Journal::in_memory());
+    controller.attach_journal(Arc::clone(&journal));
 
     // Give the dead-switch-to-be a flow so the reap is observable.
     use sdnshield::openflow::actions::{Action, ActionList};
@@ -273,6 +275,13 @@ fn echo_liveness_timeout_reaps_connection_and_flows() {
         controller.kernel().flow_count(dpid),
         0,
         "flows must be reaped"
+    );
+    assert!(
+        journal
+            .trace()
+            .iter()
+            .any(|r| r.cmd.name() == "reap_switch"),
+        "the reap must go through the seam, so a recovered kernel agrees"
     );
 
     reactor.close_all();
