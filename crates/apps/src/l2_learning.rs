@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 
 use sdnshield_controller::api::FlowOp;
-use sdnshield_controller::app::{App, AppCtx};
+use sdnshield_controller::app::{App, AppCtx, BurstOutput};
 use sdnshield_controller::events::Event;
 use sdnshield_core::api::EventKind;
 use sdnshield_core::token::PermissionToken;
@@ -137,14 +137,13 @@ impl App for L2LearningSwitch {
         let _ = ctx.send_packet_out(*dpid, packet_out);
     }
 
-    /// Vectored delivery: one wake-up carries a burst of packet-ins; the
-    /// forwarding rules for the whole burst are returned as one batch (the
-    /// runtime submits it through a single mediated `submit_batch` call)
-    /// and the packet-outs releasing each packet go out, in arrival order,
-    /// through one vectored `send_packet_outs` crossing.
-    fn on_events(&mut self, ctx: &AppCtx, events: &[&Event]) -> Vec<FlowOp> {
-        let mut ops = Vec::new();
-        let mut outs = Vec::new();
+    /// Vectored delivery: one wake-up carries a burst of packet-ins. The
+    /// packet-outs releasing each packet (in arrival order) and the
+    /// forwarding rules for the whole burst are returned; the runtime
+    /// applies them as this app, packet-outs first and the rules as one
+    /// atomic batch, with no deputy crossing (see [`App::on_events`]).
+    fn on_events(&mut self, _ctx: &AppCtx, events: &[&Event]) -> BurstOutput {
+        let mut out = BurstOutput::default();
         for event in events {
             let Event::PacketIn { dpid, packet_in } = event else {
                 continue;
@@ -153,20 +152,17 @@ impl App for L2LearningSwitch {
                 continue;
             };
             if let Some(flow_mod) = flow_mod {
-                // Counted at emission: the runtime submits the batch as this
+                // Counted at emission: the runtime applies the batch as this
                 // app, and L2's manifest grants insert_flow unconditionally.
                 self.rules_installed += 1;
-                ops.push(FlowOp {
+                out.flow_ops.push(FlowOp {
                     dpid: *dpid,
                     flow_mod,
                 });
             }
-            outs.push((*dpid, packet_out));
+            out.packet_outs.push((*dpid, packet_out));
         }
-        if !outs.is_empty() {
-            let _ = ctx.send_packet_outs(outs);
-        }
-        ops
+        out
     }
 }
 

@@ -6,7 +6,7 @@ use std::fmt;
 use sdnshield_core::api::{ApiCall, EventKind};
 use sdnshield_core::engine::{Decision, DenyReason};
 use sdnshield_core::token::PermissionToken;
-use sdnshield_openflow::messages::{FlowMod, FlowStats, OfError, PacketOut, StatsReply};
+use sdnshield_openflow::messages::{FlowMod, FlowStats, OfError, StatsReply};
 use sdnshield_openflow::types::{DatapathId, PortNo};
 
 use crate::hostsys::ConnId;
@@ -244,17 +244,13 @@ pub(crate) enum DeputyRequest {
         /// Where to send the outcome.
         reply: crossbeam::channel::Sender<Result<ApiResponse, ApiError>>,
     },
-    /// A group of packet-outs moved across the channel in one crossing —
-    /// the vectored counterpart of N `send_pkt_out` calls. Best-effort:
-    /// each packet-out is checked and applied independently (matching a
-    /// loop of singleton calls) and the reply carries the count sent.
-    PacketOuts {
-        /// The calling app.
-        app: sdnshield_core::api::AppId,
-        /// The packet-outs, in emission order.
-        outs: Vec<(DatapathId, PacketOut)>,
-        /// Where to send the number actually sent.
-        reply: crossbeam::channel::Sender<Result<usize, ApiError>>,
+    /// Dispatch events that have an interceptor target, with no reply. The
+    /// app runtime hands over the intercepted events an app's returned
+    /// output derived, so that the deputy, never an app thread, waits for
+    /// the interceptors to finish.
+    Dispatch {
+        /// The derived events.
+        events: Vec<crate::kernel::OutboundEvent>,
     },
     /// Send on an established host connection (payload carried out-of-band
     /// of the core `ApiCall` so forensics records real bytes).

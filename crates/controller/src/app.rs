@@ -3,7 +3,9 @@
 //!
 //! In the SDNShield architecture the context marshals each call over an
 //! inter-thread channel to a Kernel Service Deputy (paper §VI-A); in the
-//! monolithic baseline it calls the kernel directly. Apps are written once
+//! monolithic baseline it calls the kernel directly. The output a batched
+//! handler *returns* ([`BurstOutput`]) is the exception: the app runtime
+//! applies it on the app's thread without a crossing. Apps are written once
 //! and run unmodified under either architecture — mirroring the paper's
 //! claim that legacy apps need no changes.
 
@@ -53,19 +55,42 @@ pub trait App: Send {
 
     /// Called with the batch of events delivered in one wake-up (vectored
     /// delivery). The default forwards each event to [`App::on_event`] and
-    /// returns no batched operations, so existing apps run unchanged.
+    /// returns no output, so existing apps run unchanged.
     ///
-    /// Overriders may instead accumulate flow operations across the batch
-    /// and return them: the app runtime submits the returned operations
-    /// through [`AppCtx::submit_batch`] (one channel crossing, one engine
-    /// snapshot, atomic apply) *before* acknowledging the events, so a
-    /// synchronous delivery still means "fully processed, including the
-    /// batched operations".
-    fn on_events(&mut self, ctx: &AppCtx, events: &[&Event]) -> Vec<FlowOp> {
+    /// Overriders may instead accumulate the burst's packet-outs and flow
+    /// operations and return them. Under isolation the app runtime applies
+    /// that output on the app's own thread, after the handler returns and
+    /// *before* acknowledging the events: the packet-outs as one
+    /// best-effort group, then the flow operations as one atomic batch.
+    /// Each is permission-checked, journaled and audited as this app,
+    /// exactly as a loop of [`AppCtx::send_packet_out`] calls and one
+    /// [`AppCtx::submit_batch`] would be, but without a deputy crossing. A
+    /// synchronous delivery still means "fully processed, output included".
+    /// Calls the handler makes through `ctx` cross to a deputy as usual.
+    fn on_events(&mut self, ctx: &AppCtx, events: &[&Event]) -> BurstOutput {
         for event in events {
             self.on_event(ctx, event);
         }
-        Vec::new()
+        BurstOutput::default()
+    }
+}
+
+/// What an [`App::on_events`] burst returns for the runtime to apply on its
+/// behalf once the handler is done.
+#[derive(Debug, Default)]
+pub struct BurstOutput {
+    /// Packet-outs, applied first, in order; each is checked on its own
+    /// (as [`AppCtx::send_packet_out`]) and a denial skips only that one.
+    pub packet_outs: Vec<(DatapathId, PacketOut)>,
+    /// Flow operations, applied next as one atomic batch (as
+    /// [`AppCtx::submit_batch`]): one denial applies none of them.
+    pub flow_ops: Vec<FlowOp>,
+}
+
+impl BurstOutput {
+    /// Nothing to apply.
+    pub fn is_empty(&self) -> bool {
+        self.packet_outs.is_empty() && self.flow_ops.is_empty()
     }
 }
 
@@ -127,7 +152,7 @@ impl FastLane {
 }
 
 /// Sends a deputy request, maintaining the in-flight counter.
-fn send_deputy(
+pub(crate) fn send_deputy(
     tx: &Sender<DeputyRequest>,
     inflight: &std::sync::atomic::AtomicUsize,
     req: DeputyRequest,
@@ -273,46 +298,6 @@ impl AppCtx {
     pub fn send_packet_out(&self, dpid: DatapathId, packet_out: PacketOut) -> Result<(), ApiError> {
         self.call(ApiCallKind::SendPacketOut { dpid, packet_out })
             .map(|_| ())
-    }
-
-    /// Sends a group of packet-outs in one app→KSD channel crossing — the
-    /// vectored counterpart of a [`AppCtx::send_packet_out`] loop, built
-    /// for batched event handlers ([`App::on_events`]) that release a whole
-    /// burst of packets at once. Best-effort: each packet-out is checked
-    /// and applied independently, exactly as the singleton loop would, and
-    /// the count actually sent is returned.
-    ///
-    /// # Errors
-    ///
-    /// [`ApiError::Shutdown`] / [`ApiError::Timeout`] on channel failures;
-    /// a missing `send_pkt_out` token denies the whole group. Per-packet
-    /// denials and switch errors only reduce the returned count.
-    pub fn send_packet_outs(&self, outs: Vec<(DatapathId, PacketOut)>) -> Result<usize, ApiError> {
-        match &self.route {
-            CallRoute::Deputy {
-                tx,
-                inflight,
-                timeout,
-                ..
-            } => {
-                let (reply_tx, reply_rx) = bounded(1);
-                send_deputy(
-                    tx,
-                    inflight,
-                    DeputyRequest::PacketOuts {
-                        app: self.app,
-                        outs,
-                        reply: reply_tx,
-                    },
-                )?;
-                await_reply(&reply_rx, *timeout)?
-            }
-            CallRoute::Direct { kernel, pending } => {
-                let (result, events) = kernel.execute_packet_outs(self.app, &outs);
-                pending.lock().extend(events);
-                result
-            }
-        }
     }
 
     /// Convenience: packet-out of a raw frame through one port.

@@ -12,7 +12,12 @@
 //! * deputy-side faults (`panic_in_deputy_on_nth_call`,
 //!   `drop_reply_on_nth_call`, `kill_deputy_on_nth_call`) are armed on the
 //!   controller with `ShieldedController::arm_faults` and consulted by the
-//!   deputy loop per mediated call, keyed by the calling app.
+//!   deputy loop per mediated call, keyed by the calling app. Only
+//!   `Call` requests count towards N: transactions, batches and the other
+//!   vectored requests never consult the plan. The app runtime also
+//!   applies the output a burst handler returns (`App::on_events`) and
+//!   counts those applies on a counter of their own; it consults only
+//!   the panic fault, which fires on whichever path reaches N first.
 //!
 //! Counters are 1-based: `panic_on_nth_event = Some(2)` crashes while
 //! handling the second delivered event. Each deputy fault fires exactly
@@ -34,7 +39,9 @@ pub struct FaultPlan {
     pub panic_on_nth_event: Option<u32>,
     /// Sleep for the given duration while handling the Nth event (1-based).
     pub stall_on_nth_event: Option<(u32, Duration)>,
-    /// Panic inside the deputy executing the app's Nth mediated call.
+    /// Panic inside the deputy executing the app's Nth mediated call, or
+    /// inside the runtime applying the app's Nth returned burst output,
+    /// whichever comes first (the two are counted apart).
     pub panic_in_deputy_on_nth_call: Option<u32>,
     /// Execute the app's Nth call but never send the reply (the sender is
     /// parked alive, so the app's per-call timeout — not channel disconnect
@@ -140,7 +147,10 @@ pub(crate) enum DeputyFault {
 
 struct ArmedPlan {
     plan: FaultPlan,
+    /// Mediated `Call`s seen (every deputy fault).
     calls_seen: u32,
+    /// Returned burst outputs applied (the panic fault only).
+    outputs_seen: u32,
 }
 
 /// Per-app armed fault plans, shared between the controller front-end (which
@@ -161,6 +171,7 @@ impl FaultRegistry {
             ArmedPlan {
                 plan,
                 calls_seen: 0,
+                outputs_seen: 0,
             },
         );
     }
@@ -187,6 +198,22 @@ impl FaultRegistry {
             return DeputyFault::DropReply;
         }
         DeputyFault::None
+    }
+
+    /// Called by the app runtime once per burst output it applies for
+    /// `app`; true when the panic fault is scheduled for this apply. The
+    /// kill and drop-reply faults have no target here and are left armed.
+    pub(crate) fn output_panic(&self, app: AppId) -> bool {
+        let mut plans = self.plans.lock().unwrap_or_else(|p| p.into_inner());
+        let Some(armed) = plans.get_mut(&app) else {
+            return false;
+        };
+        armed.outputs_seen += 1;
+        if armed.plan.panic_in_deputy_on_nth_call == Some(armed.outputs_seen) {
+            armed.plan.panic_in_deputy_on_nth_call = None;
+            return true;
+        }
+        false
     }
 
     /// Keeps a reply sender alive for the rest of the controller's lifetime.
@@ -221,5 +248,22 @@ mod tests {
         assert_eq!(reg.deputy_action(AppId(3)), DeputyFault::KillDeputy);
         // Drop-reply was scheduled for call 1 as well; it missed its slot.
         assert_eq!(reg.deputy_action(AppId(3)), DeputyFault::None);
+    }
+
+    #[test]
+    fn output_applies_count_apart_and_fire_only_the_panic() {
+        let reg = FaultRegistry::default();
+        let plan = FaultPlan::none().panic_in_deputy(2).kill_deputy(1);
+        reg.arm(AppId(4), plan);
+        assert!(!reg.output_panic(AppId(4)));
+        assert!(reg.output_panic(AppId(4)), "second apply panics");
+        assert!(!reg.output_panic(AppId(4)), "the panic fired once");
+        // The applies left the call counter and the kill fault alone.
+        assert_eq!(reg.deputy_action(AppId(4)), DeputyFault::KillDeputy);
+        assert_eq!(reg.deputy_action(AppId(4)), DeputyFault::None);
+        assert!(
+            !reg.output_panic(AppId(5)),
+            "unarmed apps are never faulted"
+        );
     }
 }

@@ -1,9 +1,11 @@
 //! The SDNShield thread-based isolation architecture (paper §VI-A).
 //!
 //! * every app runs on its own unprivileged OS thread;
-//! * all app↔kernel communication crosses typed crossbeam channels —
-//!   the only references an app holds are its [`AppCtx`] handle and the
-//!   events it is delivered (data isolation);
+//! * every call app code makes crosses typed crossbeam channels — the
+//!   only references an app holds are its [`AppCtx`] handle and the events
+//!   it is delivered (data isolation). The output a batched handler
+//!   *returns* is the one thing that does not cross: the app runtime, which
+//!   is trusted code, applies it on the app's thread after the handler;
 //! * a pool of privileged *Kernel Service Deputy* threads drains the call
 //!   queue, permission-checks each call and executes it on the app's behalf
 //!   (the choke point is a queue, not a serialization point: deputies run in
@@ -34,8 +36,9 @@
 //!   pipelined workload pays one wake-up per burst instead of one per call;
 //! * event fan-out shares one `Arc<Event>` view across subscribers and
 //!   [`Dispatcher::dispatch_vectored`] enqueues whole event batches per app
-//!   (one wake-up, N events), with app handlers able to return batched
-//!   flow-ops through [`crate::app::App::on_events`].
+//!   (one wake-up, N events), with app handlers able to return a burst's
+//!   packet-outs and flow-ops through [`crate::app::App::on_events`] for
+//!   the runtime to apply without a deputy crossing.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU64, AtomicUsize, Ordering};
@@ -56,7 +59,7 @@ use sdnshield_openflow::packet::EthernetFrame;
 use sdnshield_openflow::types::DatapathId;
 
 use crate::api::{ApiError, DeputyRequest};
-use crate::app::{App, AppCtx, CallRoute, FastLane};
+use crate::app::{send_deputy, App, AppCtx, BurstOutput, CallRoute, FastLane};
 use crate::arena;
 use crate::command::KernelSnapshot;
 use crate::events::Event;
@@ -265,6 +268,29 @@ impl Dispatcher {
         for out in events {
             self.dispatch_one(kernel, &out.event, sync);
         }
+    }
+
+    /// Asynchronous dispatch from an app thread (the events the app's
+    /// returned output derived). Events with no interceptor target fan out
+    /// here, as [`Dispatcher::dispatch`] would fan them out; the rest are
+    /// handed back for a deputy to dispatch, because the interceptor phase
+    /// waits and an app thread must never wait on an app.
+    fn dispatch_unintercepted(
+        &self,
+        kernel: &Kernel,
+        events: Vec<OutboundEvent>,
+    ) -> Vec<OutboundEvent> {
+        let mut intercepted = Vec::new();
+        for out in events {
+            let targets = Self::targets_for(kernel, &out.event);
+            if targets.iter().any(|(_, i)| *i) {
+                intercepted.push(out);
+                continue;
+            }
+            let receivers: Vec<AppId> = targets.into_iter().map(|(a, _)| a).collect();
+            self.fan_out(kernel, &out.event, &receivers, false, &mut Vec::new());
+        }
+        intercepted
     }
 
     fn dispatch_one(&self, kernel: &Kernel, event: &Event, sync: bool) {
@@ -1109,11 +1135,14 @@ impl ShieldedController {
             let dispatcher = Arc::clone(&self.dispatcher);
             let supervisor = Arc::clone(&self.supervisor);
             let inflight = Arc::clone(&self.inflight);
+            let faults = Arc::clone(&self.faults);
+            let deputies = self.call_tx.clone();
             std::thread::Builder::new()
                 .name(thread_name)
                 .spawn(move || {
                     app_loop(
                         app, ctx, id, queue, ready_tx, cell, dispatcher, supervisor, inflight,
+                        faults, deputies,
                     )
                 })
                 .expect("spawn app thread")
@@ -1391,6 +1420,8 @@ fn app_loop(
     dispatcher: Arc<Dispatcher>,
     supervisor: Arc<Supervisor>,
     inflight: Arc<AtomicUsize>,
+    faults: Arc<FaultRegistry>,
+    deputies: Sender<DeputyRequest>,
 ) {
     // Panics inside app code stay inside the app's thread — the isolation
     // property the paper's thread containers provide. A panicking app is
@@ -1416,17 +1447,23 @@ fn app_loop(
             continue;
         }
         let views: Vec<&Event> = batch.iter().map(|(event, _)| event.as_ref()).collect();
-        // The whole burst — handler AND the submission of whatever flow-ops
-        // it returns — runs under one unwind guard, and the acks only fire
-        // afterwards: a synchronous delivery observes the event's full
-        // effect, batched flow-mods included.
-        let survived = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let ops = app.on_events(&ctx, &views);
-            if !ops.is_empty() {
-                let _ = ctx.submit_batch(ops);
-            }
-        }))
-        .is_ok();
+        // A panic in the handler is the app's crash. Its output is applied
+        // afterwards under a guard of its own, and the acks only fire after
+        // that: a synchronous delivery observes the event's full effect,
+        // returned packet-outs and flow-mods included.
+        let output =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app.on_events(&ctx, &views)));
+        if let Ok(output) = &output {
+            apply_output(
+                &cell,
+                &dispatcher,
+                &faults,
+                &deputies,
+                &inflight,
+                id,
+                output,
+            );
+        }
         // Always acknowledge and account, even on a crash, so synchronous
         // deliveries and quiesce() never wedge.
         for (_, ack) in &batch {
@@ -1435,7 +1472,7 @@ fn app_loop(
             }
         }
         inflight.fetch_sub(batch.len(), Ordering::SeqCst);
-        if !survived {
+        if output.is_err() {
             let kernel = cell.load();
             drain_queue(&queue, &kernel, id, &inflight, true);
             handle_crash(&kernel, &dispatcher, &supervisor, id, "on_event");
@@ -1445,6 +1482,54 @@ fn app_loop(
     // Graceful stop: account for anything still queued so quiesce() and
     // synchronous dispatchers stay accurate.
     drain_queue(&queue, &cell.load(), id, &inflight, false);
+}
+
+/// Applies the output a handler burst returned, on the app's own thread
+/// and as the app, against the kernel loaded once for the burst: the
+/// packet-outs, then the flow operations as one batch. Order, commands,
+/// journal, audit and decision-trace records are those a deputy would
+/// produce executing the same two groups. Like a deputy,
+/// this is trusted code under its own unwind guard: a kernel panic here is
+/// contained and never counted as the app's crash, and the app's armed
+/// [`FaultPlan`] panic fires here too.
+///
+/// Derived events dispatch asynchronously, as a deputy's do. Those with
+/// an interceptor target go to the deputy pool in one fire-and-forget
+/// request, so a deputy waits for the interceptors, and the app thread
+/// never waits on an app (itself included).
+fn apply_output(
+    cell: &KernelCell,
+    dispatcher: &Dispatcher,
+    faults: &FaultRegistry,
+    deputies: &Sender<DeputyRequest>,
+    inflight: &AtomicUsize,
+    id: AppId,
+    output: &BurstOutput,
+) {
+    if output.is_empty() {
+        return;
+    }
+    let kernel = cell.load();
+    let mut intercepted = Vec::new();
+    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        if faults.output_panic(id) {
+            panic!("injected fault: panic while applying a burst's output");
+        }
+        if !output.packet_outs.is_empty() {
+            let (_, events) = kernel.execute_packet_outs(id, &output.packet_outs);
+            intercepted.extend(dispatcher.dispatch_unintercepted(&kernel, events));
+        }
+        if !output.flow_ops.is_empty() {
+            let (_, events) = kernel.execute_batch(id, &output.flow_ops);
+            intercepted.extend(dispatcher.dispatch_unintercepted(&kernel, events));
+        }
+    }));
+    if !intercepted.is_empty() {
+        let request = DeputyRequest::Dispatch {
+            events: intercepted,
+        };
+        let _ = send_deputy(deputies, inflight, request);
+    }
 }
 
 /// How many queued events an app thread drains per wake-up.
@@ -1532,15 +1617,20 @@ fn deputy_loop(
         };
         burst.pending.push_back(first);
         // Wake batching: whatever else is already queued rides the same
-        // wake-up. A `Publish` or `Stop` must be the LAST request drained:
-        // a publish dispatches synchronously to subscribers whose own
-        // pending calls could be trapped *behind* it in this local burst
-        // (un-stealable by peer deputies — deadlock), and a swallowed Stop
-        // would starve a peer deputy of its shutdown signal.
+        // wake-up. A `Publish`, `Dispatch` or `Stop` must be the LAST
+        // request drained: a publish (or an intercepted dispatch) waits on
+        // subscribers whose own pending calls could be trapped *behind* it
+        // in this local burst (un-stealable by peer deputies — deadlock),
+        // and a swallowed Stop would starve a peer deputy of its shutdown
+        // signal.
         while burst.pending.len() < DEPUTY_BURST_MAX
             && !matches!(
                 burst.pending.back(),
-                Some(DeputyRequest::Publish { .. } | DeputyRequest::Stop)
+                Some(
+                    DeputyRequest::Publish { .. }
+                        | DeputyRequest::Dispatch { .. }
+                        | DeputyRequest::Stop
+                )
             )
         {
             match rx.try_recv() {
@@ -1625,21 +1715,11 @@ fn deputy_loop(
                         }
                     }
                 }
-                DeputyRequest::PacketOuts { app, outs, reply } => {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        kernel.execute_packet_outs(app, &outs)
-                    }));
-                    match outcome {
-                        Ok((result, events)) => {
-                            let _ = reply.send(result);
-                            dispatcher.dispatch(&kernel, events, false);
-                        }
-                        Err(_) => {
-                            let _ = reply.send(Err(ApiError::Internal(
-                                "deputy panicked executing the packet-out group".into(),
-                            )));
-                        }
-                    }
+                DeputyRequest::Dispatch { events } => {
+                    // An app's derived events with an interceptor target:
+                    // this deputy, not the app thread, waits for the
+                    // interceptors (see `apply_output`).
+                    dispatcher.dispatch(&kernel, events, false);
                 }
                 DeputyRequest::HostSend {
                     app,

@@ -1004,11 +1004,13 @@ impl Kernel {
     }
 
     /// Executes a batch of flow operations submitted through the batched
-    /// deputy API (`AppCtx::submit_batch`): the same atomic check/apply/
-    /// rollback machinery as [`Kernel::execute_transaction`], but audited
-    /// as a `batch`. The win over N singleton calls is amortization — one
-    /// channel crossing, one engine fetch, one commit, and one audit record
-    /// for the whole group.
+    /// deputy API (`AppCtx::submit_batch`) or returned by a batched handler
+    /// (`BurstOutput::flow_ops`, applied by the app runtime): the same
+    /// atomic check/apply/rollback machinery as
+    /// [`Kernel::execute_transaction`], but audited as a `batch`. The win
+    /// over N singleton calls is amortization — at most one channel
+    /// crossing, one engine fetch, one commit, and one audit record for the
+    /// whole group.
     pub fn execute_batch(
         &self,
         app: AppId,
@@ -1021,14 +1023,15 @@ impl Kernel {
         (outcome.into_api(), events)
     }
 
-    /// Checks and applies a group of packet-outs moved across the deputy
-    /// channel in one crossing (`AppCtx::send_packet_outs`) — the vectored
-    /// counterpart of N singleton `send_pkt_out` calls. Best-effort like a
-    /// loop of singleton calls: one denial or switch error skips that
-    /// packet-out, audited individually, and the rest still go out. The win
-    /// is amortization — one channel crossing, one reply wake-up, and one
-    /// engine fetch for the whole group. Returns the number actually sent
-    /// plus derived events (packet-ins absorbed from the data-plane walk).
+    /// Checks and applies the group of packet-outs a batched handler
+    /// returned (`BurstOutput::packet_outs`, applied by the app runtime) —
+    /// the vectored counterpart of N singleton `send_pkt_out` calls.
+    /// Best-effort like a loop of singleton calls: one denial or switch
+    /// error skips that packet-out, audited individually, and the rest
+    /// still go out. The win is amortization — one engine fetch and one
+    /// journal record for the whole group. Returns the number actually
+    /// sent plus derived events (packet-ins absorbed from the data-plane
+    /// walk).
     pub fn execute_packet_outs(
         &self,
         app: AppId,

@@ -37,7 +37,7 @@ pub mod monolithic;
 pub mod southbound;
 
 pub use api::{ApiError, ApiResponse, FlowOp, TopologyView};
-pub use app::{App, AppCtx};
+pub use app::{App, AppCtx, BurstOutput};
 pub use command::{Command, CommandOutcome, KernelSnapshot};
 pub use events::Event;
 pub use fault::FaultPlan;

@@ -4,14 +4,22 @@
 //! # Reactor model
 //!
 //! One thread owns a nonblocking [`TcpListener`] and every connection, and
-//! drives them with a readiness *sweep*: each [`Reactor::poll_once`] call
-//! accepts pending connections, then for every connection flushes queued
-//! egress bytes, reads until `WouldBlock`, decodes complete frames from the
-//! reusable stream buffer, and finally runs the liveness/timeout pass. The
-//! sweep is std-only (the offline build has no `mio`/`epoll` binding);
-//! nonblocking sockets plus a short idle sleep approximate readiness
-//! notification with bounded latency, and the explicit `poll_once(tick)`
-//! entry point keeps the whole state machine deterministic under test.
+//! drives them with a *sweep*: each [`Reactor::poll_once`] call accepts
+//! pending connections, then for every connection flushes queued egress
+//! bytes, reads until `WouldBlock`, decodes complete frames from the
+//! reusable stream buffer, and finally runs the liveness/timeout pass. A
+//! sweep never blocks, and the explicit `poll_once(tick)` entry point keeps
+//! the whole state machine deterministic under test.
+//!
+//! Between sweeps that found nothing to do, [`Reactor::wait`] blocks in
+//! `poll(2)` (the FFI lives in the `affinity` shim) on the listener, every
+//! connection — `POLLOUT` too while its write ring holds bytes — and the
+//! read end of a wake socket. Egress is produced on other threads: a
+//! FLOW_MOD/PACKET_OUT pushed into a ring writes one byte to the wake
+//! socket, but only when it flips the reactor's `armed` flag, which the
+//! reactor sets just before it last looks at the rings and clears when
+//! `poll` returns. So no push is lost, wake-ups are coalesced, and a push
+//! while the reactor is awake costs no syscall.
 //!
 //! # Per-connection state machine
 //!
@@ -32,20 +40,24 @@
 //! Egress frames queue in a bounded [`WriteRing`]; when a slow peer fills
 //! it, whole frames are shed and counted — the audit ring's counted-drop
 //! discipline — so a stalled switch can never wedge the reactor or the
-//! deputy threads. Liveness: after `echo_interval` ticks of silence the
-//! reactor sends an ECHO_REQUEST with an opaque payload; a peer that fails
-//! to echo it (xid and payload verbatim) within `echo_timeout` ticks is
-//! declared dead, its egress deregistered, and its flows reaped through the
-//! network's existing delete path.
+//! threads producing its egress, and the reactor waits for its socket with
+//! `POLLOUT` instead of spinning on it. Liveness: after `echo_interval`
+//! ticks of silence the reactor sends an ECHO_REQUEST with an opaque
+//! payload; a peer that fails to echo it (xid and payload verbatim) within
+//! `echo_timeout` ticks is declared dead, its egress deregistered, and its
+//! flows reaped through the network's existing delete path.
 
 use std::collections::BTreeSet;
-use std::io::{self, ErrorKind};
+use std::io::{self, ErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd as _;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use affinity::{PollFd, POLLIN, POLLOUT};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sdnshield_netsim::network::WireEgress;
@@ -60,7 +72,20 @@ use crate::isolation::ShieldedController;
 /// must return it verbatim; anything else fails the liveness check.
 pub const LIVENESS_PAYLOAD: &[u8] = b"sdnshield-liveness\x00\xa5";
 
+/// Wall-clock length of one liveness tick in a server started by
+/// [`spawn_southbound`].
+const TICK: Duration = Duration::from_micros(200);
+
+/// Longest a spawned reactor blocks between sweeps (five ticks): liveness
+/// probes and timeouts still fire on a silent server.
+const IDLE_WAIT: Duration = Duration::from_millis(1);
+
 /// Tuning knobs for the southbound reactor.
+///
+/// `echo_interval` and `echo_timeout` count liveness *ticks*. In a server
+/// started by [`spawn_southbound`] a tick is 200 µs of wall-clock time, so
+/// the defaults mean 1 s and 10 s under any load. A reactor driven by hand
+/// counts the `tick` values its caller passes to [`Reactor::poll_once`].
 #[derive(Debug, Clone)]
 pub struct SouthboundConfig {
     /// Per-connection egress ring capacity in bytes. Frames that do not fit
@@ -149,13 +174,48 @@ impl StatsInner {
     }
 }
 
+/// The reactor's wake socket, write end. Egress producers write one byte
+/// only when they flip `armed`, which [`Reactor::wait`] sets just before
+/// it last looks at the rings and clears when `poll` returns: one byte per
+/// sleep at most, and none while the reactor is awake.
+struct Waker {
+    armed: AtomicBool,
+    tx: UnixStream,
+}
+
+impl Waker {
+    /// Wakes the reactor if it is (about to be) blocked in [`Reactor::wait`].
+    fn wake(&self) {
+        // SeqCst RMW against the reactor's arming swap: either the push
+        // before this is visible to the reactor's ring check, or the
+        // reactor was armed and this writes the byte.
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.poke();
+        }
+    }
+
+    /// Writes a wake byte unconditionally. Nonblocking: a full socket
+    /// already holds a pending wake.
+    fn poke(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+}
+
+/// What the reactor shares with its connections' egress halves and its
+/// handle.
+struct Shared {
+    stats: StatsInner,
+    waker: Waker,
+}
+
 /// The egress half of one wire-attached switch: mediated controller→switch
 /// messages are encoded into the connection's bounded write ring from
-/// whichever deputy thread executed the call; the reactor thread flushes.
+/// whichever thread executed them (a deputy, or an app thread applying its
+/// handler's output); the reactor thread flushes.
 struct ConnEgress {
     ring: Arc<Mutex<WriteRing>>,
     xid: AtomicU32,
-    stats: Arc<StatsInner>,
+    shared: Arc<Shared>,
 }
 
 impl ConnEgress {
@@ -168,14 +228,22 @@ impl WireEgress for ConnEgress {
     fn flow_mod(&self, fm: &FlowMod) {
         let body = OfBody::FlowMod(fm.clone());
         if self.ring.lock().push_body(self.next_xid(), &body) {
-            self.stats.flow_mods_tx.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .stats
+                .flow_mods_tx
+                .fetch_add(1, Ordering::Relaxed);
+            self.shared.waker.wake();
         }
     }
 
     fn packet_out(&self, po: &PacketOut) {
         let body = OfBody::PacketOut(po.clone());
         if self.ring.lock().push_body(self.next_xid(), &body) {
-            self.stats.packet_outs_tx.fetch_add(1, Ordering::Relaxed);
+            self.shared
+                .stats
+                .packet_outs_tx
+                .fetch_add(1, Ordering::Relaxed);
+            self.shared.waker.wake();
         }
     }
 }
@@ -230,8 +298,16 @@ pub struct Reactor {
     config: SouthboundConfig,
     conns: Vec<Conn>,
     claimed: BTreeSet<DatapathId>,
-    stats: Arc<StatsInner>,
+    shared: Arc<Shared>,
     batch: Vec<(DatapathId, PacketIn)>,
+    /// Read end of the wake socket (see [`Waker`]).
+    wake_rx: UnixStream,
+    /// The `poll(2)` interest set, rebuilt per wait in a reused buffer.
+    pollfds: Vec<PollFd>,
+    /// The last sweep's accept failed with something other than
+    /// `WouldBlock`. `EMFILE` leaves the listener readable, so the next
+    /// wait leaves it out rather than waking at once, again and again.
+    accept_failed: bool,
 }
 
 impl Reactor {
@@ -249,6 +325,9 @@ impl Reactor {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
         Ok(Reactor {
             listener,
             local_addr,
@@ -256,8 +335,17 @@ impl Reactor {
             config,
             conns: Vec::new(),
             claimed: BTreeSet::new(),
-            stats: Arc::new(StatsInner::default()),
+            shared: Arc::new(Shared {
+                stats: StatsInner::default(),
+                waker: Waker {
+                    armed: AtomicBool::new(false),
+                    tx: wake_tx,
+                },
+            }),
             batch: Vec::new(),
+            wake_rx,
+            pollfds: Vec::new(),
+            accept_failed: false,
         })
     }
 
@@ -273,15 +361,16 @@ impl Reactor {
 
     /// A copy of the reactor's counters.
     pub fn stats(&self) -> SouthboundStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
-    /// One readiness sweep at virtual time `tick`: accept, per-connection
+    /// One nonblocking sweep at virtual time `tick`: accept, per-connection
     /// flush/read/decode, batched packet-in dispatch, liveness pass, reap.
     /// Returns a progress count (frames + connections handled); `0` means
-    /// the sweep found nothing to do and the caller may sleep briefly.
+    /// the sweep found nothing to do and the caller may [`Reactor::wait`].
     pub fn poll_once(&mut self, tick: u64) -> usize {
         let mut progress = 0usize;
+        self.accept_failed = false;
         loop {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -289,7 +378,10 @@ impl Reactor {
                     self.accept_conn(stream, tick);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
+                Err(_) => {
+                    self.accept_failed = true;
+                    break;
+                }
             }
         }
         for i in 0..self.conns.len() {
@@ -299,7 +391,7 @@ impl Reactor {
                 &self.controller,
                 &self.config,
                 &mut self.claimed,
-                &self.stats,
+                &self.shared,
                 &mut self.batch,
             );
         }
@@ -312,8 +404,8 @@ impl Reactor {
             if conn.dead.is_some() {
                 continue;
             }
-            Self::liveness_pass(conn, tick, &self.config, &self.stats);
-            Self::flush_conn(conn, &self.stats);
+            Self::liveness_pass(conn, tick, &self.config, &self.shared.stats);
+            Self::flush_conn(conn, &self.shared.stats);
         }
         let mut i = 0;
         while i < self.conns.len() {
@@ -328,12 +420,53 @@ impl Reactor {
         progress
     }
 
+    /// Blocks in `poll(2)` until the next [`Reactor::poll_once`] may find
+    /// work, or `timeout` (rounded up to whole milliseconds) passes: a
+    /// connection or the listener is readable, a write ring holding bytes
+    /// can be flushed, or an egress push or [`SouthboundHandle`] shutdown
+    /// pokes the wake socket. Call it after a sweep that returned 0; a
+    /// wake-up that finds nothing to do is harmless.
+    ///
+    /// Egress producers write a wake byte only while the reactor is armed.
+    /// Arming comes before the rings are inspected, so a frame pushed
+    /// earlier shows up as `POLLOUT` interest and one pushed later writes
+    /// the byte: no push is lost. A failed `poll` (never expected; `EINTR`
+    /// counts as a wake) degrades to a sleep of at most one tick.
+    pub fn wait(&mut self, timeout: Duration) {
+        let waker = &self.shared.waker;
+        waker.armed.swap(true, Ordering::SeqCst);
+        self.pollfds.clear();
+        self.pollfds
+            .push(PollFd::new(self.wake_rx.as_raw_fd(), POLLIN));
+        if !self.accept_failed {
+            self.pollfds
+                .push(PollFd::new(self.listener.as_raw_fd(), POLLIN));
+        }
+        for conn in &self.conns {
+            let events = if conn.ring.lock().is_empty() {
+                POLLIN
+            } else {
+                POLLIN | POLLOUT
+            };
+            self.pollfds
+                .push(PollFd::new(conn.stream.as_raw_fd(), events));
+        }
+        if affinity::poll(&mut self.pollfds, timeout).is_err() {
+            thread::sleep(timeout.min(TICK));
+        }
+        waker.armed.store(false, Ordering::SeqCst);
+        if self.pollfds[0].revents != 0 {
+            let mut buf = [0u8; 64];
+            while matches!(self.wake_rx.read(&mut buf), Ok(n) if n > 0) {}
+        }
+    }
+
     fn accept_conn(&mut self, stream: TcpStream, tick: u64) {
         if stream.set_nonblocking(true).is_err() {
             return;
         }
         let _ = stream.set_nodelay(true);
-        self.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
         let ring = Arc::new(Mutex::new(WriteRing::new(self.config.write_ring_capacity)));
         let mut conn = Conn {
             stream,
@@ -351,7 +484,7 @@ impl Reactor {
         };
         let xid = conn.next_xid();
         conn.ring.lock().push_body(xid, &OfBody::Hello);
-        Self::flush_conn(&mut conn, &self.stats);
+        Self::flush_conn(&mut conn, &self.shared.stats);
         self.conns.push(conn);
     }
 
@@ -365,12 +498,13 @@ impl Reactor {
         controller: &Arc<ShieldedController>,
         config: &SouthboundConfig,
         claimed: &mut BTreeSet<DatapathId>,
-        stats: &Arc<StatsInner>,
+        shared: &Arc<Shared>,
         batch: &mut Vec<(DatapathId, PacketIn)>,
     ) -> usize {
         if conn.dead.is_some() {
             return 0;
         }
+        let stats = &shared.stats;
         Self::flush_conn(conn, stats);
         let mut progress = 0usize;
         'io: loop {
@@ -434,7 +568,7 @@ impl Reactor {
                             // Egress xids start in the upper half of the
                             // space; reactor-initiated xids count up from 1.
                             xid: AtomicU32::new(0x8000_0000),
-                            stats: Arc::clone(stats),
+                            shared: Arc::clone(shared),
                         });
                         controller
                             .kernel()
@@ -551,7 +685,7 @@ impl Reactor {
     /// owners' rule quotas released), close the socket. The reap's
     /// flow-removed events are dropped: the reactor has no dispatcher.
     fn close_conn(&mut self, conn: Conn) {
-        self.stats.closed.fetch_add(1, Ordering::Relaxed);
+        self.shared.stats.closed.fetch_add(1, Ordering::Relaxed);
         if let Some(dpid) = conn.dpid {
             self.claimed.remove(&dpid);
             let kernel = self.controller.kernel();
@@ -583,7 +717,7 @@ impl Drop for Reactor {
 pub struct SouthboundHandle {
     local_addr: SocketAddr,
     running: Arc<AtomicBool>,
-    stats: Arc<StatsInner>,
+    shared: Arc<Shared>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -595,7 +729,7 @@ impl SouthboundHandle {
 
     /// A copy of the reactor's counters.
     pub fn stats(&self) -> SouthboundStats {
-        self.stats.snapshot()
+        self.shared.stats.snapshot()
     }
 
     /// Stops the reactor thread and closes all connections.
@@ -605,6 +739,8 @@ impl SouthboundHandle {
 
     fn stop(&mut self) {
         self.running.store(false, Ordering::Release);
+        // The byte ends the reactor's current or next wait at once.
+        self.shared.waker.poke();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -619,9 +755,12 @@ impl Drop for SouthboundHandle {
 
 /// Starts the southbound server on a dedicated reactor thread.
 ///
-/// The thread sweeps connections continuously, advancing the virtual tick
-/// once per sweep and sleeping briefly only when a sweep makes no progress
-/// (so liveness ticks keep advancing on an idle server).
+/// The thread sweeps with [`Reactor::poll_once`] while sweeps make
+/// progress, and blocks in [`Reactor::wait`] after one that found nothing
+/// — woken by socket readiness or by egress produced on other threads, and
+/// at the latest after a millisecond. The liveness tick is wall-clock time
+/// in 200 µs units (see [`SouthboundConfig`]), so probes and timeouts keep
+/// their meaning on an idle server and under load alike.
 ///
 /// # Errors
 ///
@@ -633,18 +772,17 @@ pub fn spawn_southbound(
 ) -> io::Result<SouthboundHandle> {
     let mut reactor = Reactor::bind(addr, controller, config)?;
     let local_addr = reactor.local_addr();
-    let stats = Arc::clone(&reactor.stats);
+    let shared = Arc::clone(&reactor.shared);
     let running = Arc::new(AtomicBool::new(true));
     let flag = Arc::clone(&running);
     let thread = thread::Builder::new()
         .name("southbound-reactor".into())
         .spawn(move || {
-            let mut tick = 0u64;
+            let start = Instant::now();
             while flag.load(Ordering::Acquire) {
-                let progress = reactor.poll_once(tick);
-                tick += 1;
-                if progress == 0 {
-                    thread::sleep(Duration::from_micros(200));
+                let tick = (start.elapsed().as_nanos() / TICK.as_nanos()) as u64;
+                if reactor.poll_once(tick) == 0 {
+                    reactor.wait(IDLE_WAIT);
                 }
             }
             reactor.close_all();
@@ -652,7 +790,7 @@ pub fn spawn_southbound(
     Ok(SouthboundHandle {
         local_addr,
         running,
-        stats,
+        shared,
         thread: Some(thread),
     })
 }

@@ -62,9 +62,10 @@ fn pump_until_frame(
         match dec.read_from(stream) {
             Ok(_) => {}
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Nothing on the wire yet — yield so the app/deputy threads
-                // that produce the response get scheduled.
-                std::thread::sleep(Duration::from_micros(200));
+                // Nothing on the wire yet — block until the reactor has
+                // work: the app/deputy threads that produce the response
+                // wake it when they queue egress.
+                reactor.wait(Duration::from_millis(10));
             }
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => panic!("socket read: {e}"),
