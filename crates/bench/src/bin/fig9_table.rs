@@ -1,14 +1,14 @@
 //! Figure 9: mediated-call throughput vs deputy count — the paper's §IX-B2
 //! claim that stateless permission checks "scale out across deputy
-//! threads". Every write goes through the kernel's one mutation seam (the
-//! flat-combining group commit, DESIGN.md §16), journal or not.
+//! threads". Every write goes through the kernel's one mutation seam
+//! (DESIGN.md §16), journal or not.
 //!
 //! Two series per deputy count:
 //!
 //! * `disjoint` — pure inserts, one private switch per deputy, no journal
 //!   attached: the seam with nothing to append.
 //! * `group_commit` — the realistic op mix on the production pipeline:
-//!   journaled kernel (batched journal appends) with reads served via the
+//!   journaled kernel with reads served via the
 //!   lock-free RCU fast lane. This is the configuration real apps get, so
 //!   the headline `speedup_mixed_*` keys are computed from this series.
 //!
@@ -75,14 +75,12 @@ fn measure_series(
         let stats = harness.kernel().combiner_stats();
         if stats.submitted > 0 {
             println!(
-                "{label}: last batch combiner — {} submits, {} drains (mean batch {:.2}, \
-                 max {}), {} combined for peers, {} ring fallbacks",
+                "{label}: last batch — {} submits, {} journal writes (mean batch {:.2}), \
+                 {} written by a peer's flush",
                 stats.submitted,
-                stats.drains,
+                stats.writes,
                 stats.mean_batch(),
-                stats.max_batch,
-                stats.combined,
-                stats.ring_fallbacks
+                stats.combined
             );
         }
     }
@@ -151,7 +149,7 @@ fn to_json(series: &[Series], calls_total: usize) -> String {
     s.push_str("  \"series_notes\": {\n");
     s.push_str("    \"disjoint\": \"no journal attached, per-deputy private switches\",\n");
     s.push_str(
-        "    \"group_commit\": \"journaled kernel: flat-combining group-commit writes + RCU read fast lane (production path)\"\n",
+        "    \"group_commit\": \"journaled kernel: lock fast path + journal group commit + RCU read fast lane (production path)\"\n",
     );
     s.push_str("  },\n");
     let _ = writeln!(

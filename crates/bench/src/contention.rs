@@ -2,9 +2,8 @@
 //! Deputies drive [`Kernel::execute`] directly, measuring how mediated-call
 //! throughput scales with deputy count (paper §IX-B2: checks are stateless
 //! per call and scale out across deputy threads). Every write serializes
-//! at the kernel's one mutation seam, the flat-combining group commit of
-//! DESIGN.md §16; what scales is the lock-free read side and the combiner's
-//! batching.
+//! at the kernel's one mutation seam, the commit lock of DESIGN.md §16;
+//! what scales is the lock-free read side.
 //!
 //! Two workload shapes:
 //!
@@ -18,11 +17,10 @@
 //! And two harness shapes:
 //!
 //! * [`ContentionHarness::new`] — no journal attached: every call (reads
-//!   included) goes through `Kernel::execute`, so the combiner has nothing
-//!   to append. Measured on [`Workload::Disjoint`] only; on the mixed
+//!   included) goes through `Kernel::execute`, with nothing to append. Measured on [`Workload::Disjoint`] only; on the mixed
 //!   workload it would be the group-commit series minus the append.
 //! * [`ContentionHarness::new_group_commit`] — the production shape: the
-//!   kernel journals every mutation with batched group-appends, and reads
+//!   kernel journals every mutation, and reads
 //!   are served on the calling thread via the lock-free RCU fast lane with
 //!   a mediated-path fallback — exactly what `ShieldedController` gives
 //!   real apps.
@@ -116,13 +114,9 @@ impl ContentionHarness {
     }
 
     /// The production write-pipeline variant: the kernel journals every
-    /// mutation — the flat-combining group commit amortizes the appends
-    /// into one group-append per drain — and reads are served on the calling
-    /// thread via [`Kernel::try_serve_read`] (falling back to the mediated
-    /// path on epoch races), mirroring the `ShieldedController` defaults.
-    /// Single-writer switch lanes are enabled when the host has the ≥ 4
-    /// cores they need to pay off; below that the combiner applies batches
-    /// inline, same as the production default.
+    /// mutation, and reads are served on the calling thread via
+    /// [`Kernel::try_serve_read`] (falling back to the mediated path on
+    /// epoch races), mirroring the `ShieldedController` defaults.
     pub fn new_group_commit() -> Self {
         Self::build(true)
     }
@@ -135,12 +129,6 @@ impl ContentionHarness {
         let journal = group_commit.then(|| {
             let journal = Arc::new(Journal::in_memory());
             kernel.attach_journal(Arc::clone(&journal));
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            if cores >= 4 {
-                kernel.set_switch_lanes(4, false);
-            }
             journal
         });
         let manifest = parse_manifest(
@@ -376,9 +364,9 @@ mod tests {
             let elapsed = h.run_batch(deputies, 64, Workload::Mixed);
             assert!(elapsed.as_nanos() > 0);
         }
-        // Mutations really routed through the flat-combining submit path.
+        // Mutations really routed through the submit path.
         let stats = h.kernel().combiner_stats();
-        assert!(stats.submitted > 0, "writes go through the combiner");
+        assert!(stats.submitted > 0, "writes go through submit");
         // Between-batch compaction keeps the in-memory journal bounded.
         assert_eq!(h.journal.as_ref().unwrap().len(), 0);
         let records = h.kernel().audit_records_since(0);

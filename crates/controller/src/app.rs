@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use sdnshield_core::api::{ApiCall, ApiCallKind, AppId, EventKind};
@@ -26,6 +26,7 @@ use sdnshield_openflow::types::{BufferId, DatapathId, Ipv4, PortNo};
 use crate::api::{ApiError, ApiResponse, DeputyRequest, FlowOp, TopologyView};
 use crate::events::Event;
 use crate::hostsys::ConnId;
+use crate::isolation::DEPUTY_SPIN_TRIES;
 use crate::kernel::{Kernel, OutboundEvent};
 
 /// A controller application.
@@ -167,7 +168,20 @@ pub(crate) fn send_deputy(
 /// Waits for a deputy reply with a deadline. Disconnection (controller
 /// shutting down, or the serving deputy died taking the sender with it)
 /// surfaces immediately; silence past the deadline becomes a timeout.
+///
+/// Before parking, the wait yields for as many tries as a deputy spins
+/// for requests: an awake deputy answers within microseconds, and a reply
+/// caught without parking spares the caller's wake-up and sends the next
+/// call while that deputy still spins — back-to-back calls then cross
+/// without a futex wake on either side.
 fn await_reply<T>(rx: &Receiver<T>, timeout: Duration) -> Result<T, ApiError> {
+    for _ in 0..DEPUTY_SPIN_TRIES {
+        match rx.try_recv() {
+            Ok(reply) => return Ok(reply),
+            Err(TryRecvError::Empty) => std::thread::yield_now(),
+            Err(TryRecvError::Disconnected) => return Err(ApiError::Shutdown),
+        }
+    }
     match rx.recv_timeout(timeout) {
         Ok(reply) => Ok(reply),
         Err(RecvTimeoutError::Disconnected) => Err(ApiError::Shutdown),

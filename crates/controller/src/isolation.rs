@@ -586,15 +586,11 @@ pub struct ControllerConfig {
     /// and for every stateful or mutating call. On by default; turn off to
     /// force the pure-deputy path (baseline measurements, differentials).
     pub read_fast_path: bool,
-    /// Single-writer switch lanes inside the group-commit combiner
-    /// (DESIGN.md §16): flow-mod application for a datapath always runs on
-    /// its home lane (`dpid % switch_lanes`). 0 (the default) disables the
-    /// lane pool — the combiner applies batches inline, which is the right
-    /// choice below ~4 cores where lane handoff costs more than it saves.
+    /// No effect; kept only because `benchmark/src/common.rs` names it.
+    /// ROADMAP item 1(a)'s `[benchmark]` PR deletes it.
     pub switch_lanes: usize,
-    /// Pin deputy threads and switch lanes to cores round-robin
-    /// (best-effort `sched_setaffinity`; a no-op where unsupported). Off by
-    /// default.
+    /// Pin deputy threads to cores round-robin (best-effort
+    /// `sched_setaffinity`; a no-op where unsupported). Off by default.
     pub pin_threads: bool,
 }
 
@@ -883,9 +879,6 @@ impl ShieldedController {
     pub fn new_with_config(network: Network, config: ControllerConfig) -> Self {
         assert!(config.num_deputies > 0, "need at least one deputy");
         let kernel = Arc::new(Kernel::new(network, true));
-        if config.switch_lanes > 0 {
-            kernel.set_switch_lanes(config.switch_lanes, config.pin_threads);
-        }
         let cell = Arc::new(KernelCell::new(kernel));
         let inflight = Arc::new(AtomicUsize::new(0));
         let dispatcher = Arc::new(Dispatcher::new(Arc::clone(&inflight)));
@@ -934,11 +927,10 @@ impl ShieldedController {
         self.fast_hits.load(Ordering::Relaxed)
     }
 
-    /// Group-commit write-pipeline counters of the *active* kernel
-    /// (DESIGN.md §16): submit-batch-size histogram, combiner occupancy,
-    /// lane fan-out depths. After a [`ShieldedController::promote`] the
-    /// counters restart with the promoted kernel, like every other
-    /// per-kernel statistic.
+    /// Write-pipeline counters of the *active* kernel (DESIGN.md §16):
+    /// submits, journal writes, and records written by another submitter's
+    /// write. After a [`ShieldedController::promote`] the counters restart
+    /// with the promoted kernel, like every other per-kernel statistic.
     pub fn combiner_stats(&self) -> crate::kernel::CombinerStats {
         self.cell.load().combiner_stats()
     }
@@ -989,7 +981,7 @@ impl ShieldedController {
     }
 
     /// Attaches a command journal to the active kernel: every subsequent
-    /// state-changing command is appended under the commit lock (see
+    /// state-changing command is appended in commit order (see
     /// [`crate::journal`]).
     pub fn attach_journal(&self, journal: Arc<Journal>) {
         self.cell.load().attach_journal(journal);
@@ -1017,11 +1009,6 @@ impl ShieldedController {
         let promoted = standby.kernel();
         if let Some(journal) = old.journal() {
             promoted.attach_journal(journal);
-        }
-        // The promoted kernel inherits the controller's write-pipeline
-        // configuration (a recovered kernel starts with lanes disabled).
-        if self.config.switch_lanes > 0 {
-            promoted.set_switch_lanes(self.config.switch_lanes, self.config.pin_threads);
         }
         self.cell.store(Arc::clone(&promoted));
         promoted
@@ -1551,8 +1538,9 @@ fn drain_queue(queue: &AppQueue, kernel: &Kernel, id: AppId, inflight: &AtomicUs
 
 /// How many `try_recv` attempts a deputy burns before parking on the
 /// blocking `recv` — long enough to catch back-to-back pipelined requests,
-/// short enough not to hurt an idle machine.
-const DEPUTY_SPIN_TRIES: usize = 64;
+/// short enough not to hurt an idle machine. An app waiting for a reply
+/// tries as often before it parks (`app::await_reply`).
+pub(crate) const DEPUTY_SPIN_TRIES: usize = 64;
 
 /// Upper bound on the requests a deputy drains into one local burst.
 const DEPUTY_BURST_MAX: usize = 32;

@@ -12,6 +12,17 @@
 //! truncates the file at the first incomplete or corrupt frame — a torn
 //! tail from a crash mid-write is discarded cleanly, never half-decoded.
 //!
+//! Group commit (DESIGN.md §16): a file-backed journal with no fault armed
+//! does not write under the kernel's commit lock. The lock holder only
+//! queues its record ([`Journal::append`] returns `true`), in commit order;
+//! after dropping the lock the submitter calls [`Journal::sync`]. The first
+//! waiter writes everything queued with one `write_all`, and every later
+//! waiter whose record that write covered returns at once. No submit
+//! returns before its own record is written, and every reader
+//! ([`Journal::records_since`], [`Journal::trace`], ...) writes the queue
+//! out first. With a fault armed, appends take the synchronous per-record
+//! path, so injected byte offsets do not depend on timing.
+//!
 //! Accepted relaxation (DESIGN.md §12): appends reach the OS via buffered
 //! `write` without `fsync`, so the durability boundary is process crash,
 //! not power loss. The simulated testbed only ever kills processes.
@@ -23,8 +34,8 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -104,12 +115,24 @@ struct JournalState {
     file_len: u64,
     /// Armed fault injections.
     faults: JournalFaults,
+    /// Frame buffer reused by every queue write-out.
+    frames: BytesMut,
 }
 
 /// The append-only command log. Thread-safe; one instance is shared by the
 /// live kernel (appender) and any warm standby (tailer).
 pub struct Journal {
+    /// Lock order: `state` before `queue`, never the reverse.
     state: Mutex<JournalState>,
+    /// File-backed records committed but not yet written, in commit order.
+    /// Only the commit-lock holder pushes here; only a `state` holder
+    /// drains it.
+    queue: Mutex<Vec<JournalRecord>>,
+    /// Highest sequence the queue write-outs have covered.
+    written: AtomicU64,
+    /// Queue appends (file-backed and no fault armed) rather than write
+    /// them under the caller's lock.
+    grouped: AtomicBool,
     /// Where the backing file lives, for diagnostics.
     path: Option<PathBuf>,
     /// Set once an injected fault has "killed" the journaling process;
@@ -118,20 +141,30 @@ pub struct Journal {
 }
 
 impl Journal {
+    fn with_state(records: Vec<JournalRecord>, file: Option<File>, file_len: u64) -> Journal {
+        let grouped = file.is_some();
+        let written = records.last().map_or(0, |r| r.seq);
+        Journal {
+            state: Mutex::new(JournalState {
+                records,
+                file,
+                file_len,
+                faults: JournalFaults::default(),
+                frames: BytesMut::new(),
+            }),
+            queue: Mutex::new(Vec::new()),
+            written: AtomicU64::new(written),
+            grouped: AtomicBool::new(grouped),
+            path: None,
+            dead: AtomicBool::new(false),
+        }
+    }
+
     /// A journal with no backing file: commands are retained in memory
     /// only. This is the warm-standby / record-replay configuration and
     /// the cheapest way to measure the journaling hot-path tax.
     pub fn in_memory() -> Journal {
-        Journal {
-            state: Mutex::new(JournalState {
-                records: Vec::new(),
-                file: None,
-                file_len: 0,
-                faults: JournalFaults::default(),
-            }),
-            path: None,
-            dead: AtomicBool::new(false),
-        }
+        Journal::with_state(Vec::new(), None, 0)
     }
 
     /// An in-memory journal seeded with an already-captured trace — the
@@ -139,16 +172,7 @@ impl Journal {
     /// run's [`Journal::trace`]) to [`crate::kernel::Kernel::recover`] or a
     /// warm standby.
     pub fn from_trace(records: Vec<JournalRecord>) -> Journal {
-        Journal {
-            state: Mutex::new(JournalState {
-                records,
-                file: None,
-                file_len: 0,
-                faults: JournalFaults::default(),
-            }),
-            path: None,
-            dead: AtomicBool::new(false),
-        }
+        Journal::with_state(records, None, 0)
     }
 
     /// Opens (or creates) a file-backed journal, validating every frame and
@@ -200,14 +224,8 @@ impl Journal {
         file.set_len(valid_len)?;
         file.seek(SeekFrom::End(0))?;
         Ok(Journal {
-            state: Mutex::new(JournalState {
-                records,
-                file: Some(file),
-                file_len: valid_len,
-                faults: JournalFaults::default(),
-            }),
             path: Some(path),
-            dead: AtomicBool::new(false),
+            ..Journal::with_state(records, Some(file), valid_len)
         })
     }
 
@@ -216,9 +234,14 @@ impl Journal {
         self.path.as_deref()
     }
 
-    /// Arms injected journal faults (each fires at most once).
+    /// Arms injected journal faults (each fires at most once). Writes the
+    /// queue out first: from here on appends take the synchronous
+    /// per-record path.
     pub fn arm_faults(&self, faults: JournalFaults) {
-        self.state.lock().unwrap().faults = faults;
+        let mut state = self.written_out();
+        state.faults = faults;
+        self.grouped
+            .store(state.file.is_some() && faults.is_none(), Ordering::SeqCst);
     }
 
     /// True once an injected fault has "killed" the journaling process.
@@ -228,90 +251,86 @@ impl Journal {
 
     /// Appends one committed command. Called by the kernel under its commit
     /// lock, so records arrive in commit order with dense sequences.
-    pub(crate) fn append(&self, seq: u64, audit_seq_after: u64, cmd: Command) {
-        if self.is_dead() {
-            return;
-        }
-        let mut state = self.state.lock().unwrap();
-        self.append_locked(&mut state, seq, audit_seq_after, cmd);
-    }
-
-    /// Appends a whole commit group under a single state-lock acquisition.
     ///
-    /// The group-commit combiner hands every record of a drained batch here
-    /// at once; with no faults armed the frames are encoded into one buffer
-    /// and reach the file through one `write_all`. The bytes are identical
-    /// to `entries.len()` individual [`Journal::append`] calls (the frame
-    /// format is unchanged — N frames, one flush), so `records_since`,
-    /// reopen, and recovery replay stay byte-compatible with single-record
-    /// journals. With faults armed the batch degrades to the per-record
-    /// path so torn-write/CRC/crash-window injections keep their exact
-    /// byte-offset semantics.
-    pub(crate) fn append_batch(&self, entries: Vec<(u64, u64, Command)>) {
-        if self.is_dead() || entries.is_empty() {
-            return;
+    /// Returns `true` when the record was only queued: the caller must
+    /// [`Journal::sync`] it once it has dropped its lock, and must not
+    /// report the command done before that returns.
+    pub(crate) fn append(&self, seq: u64, audit_seq_after: u64, cmd: Command) -> bool {
+        if self.is_dead() {
+            return false;
         }
-        let mut state = self.state.lock().unwrap();
-        if !state.faults.is_none() {
-            for (seq, audit_seq_after, cmd) in entries {
-                if !self.append_locked(&mut state, seq, audit_seq_after, cmd) {
-                    return; // an injected fault "killed" the process mid-batch
-                }
-            }
-            return;
-        }
-        // In-memory hot path: no frames needed (see `append_locked`).
-        if state.file.is_none() {
-            for (seq, audit_seq_after, cmd) in entries {
-                state.records.push(JournalRecord {
-                    seq,
-                    audit_seq_after,
-                    cmd,
-                });
-            }
-            return;
-        }
-        let mut buf = BytesMut::new();
-        let mut records = Vec::with_capacity(entries.len());
-        for (seq, audit_seq_after, cmd) in entries {
-            let record = JournalRecord {
-                seq,
-                audit_seq_after,
-                cmd,
-            };
-            encode_frame(&record, None, &mut buf);
-            records.push(record);
-        }
-        let flushed = buf.len() as u64;
-        if let Some(file) = state.file.as_mut() {
-            file.write_all(&buf)
-                .expect("journal append failed: backing file unwritable");
-        }
-        state.file_len += flushed;
-        state.records.extend(records);
-    }
-
-    /// The single-record append body, shared by [`Journal::append`] and the
-    /// fault-armed arm of [`Journal::append_batch`]. Returns `false` when an
-    /// injected fault killed the journal (the caller must stop appending).
-    fn append_locked(
-        &self,
-        state: &mut JournalState,
-        seq: u64,
-        audit_seq_after: u64,
-        cmd: Command,
-    ) -> bool {
-        if state.faults.crash_before_append_on_record == Some(seq) {
-            state.faults.crash_before_append_on_record = None;
-            self.dead.store(true, Ordering::SeqCst);
-            return false; // applied but never journaled: the crash window
-        }
-
         let record = JournalRecord {
             seq,
             audit_seq_after,
             cmd,
         };
+        if self.grouped.load(Ordering::SeqCst) {
+            self.queue.lock().unwrap().push(record);
+            return true;
+        }
+        let mut state = self.state.lock().unwrap();
+        if state.file.is_some() {
+            // Anything queued before a fault was armed goes first.
+            self.write_queue(&mut state);
+        }
+        self.append_locked(&mut state, record);
+        false
+    }
+
+    /// Waits until the record with sequence `seq` is written. The first
+    /// waiter writes everything queued with one `write_all`; a waiter whose
+    /// record an earlier write covered returns at once. Returns how many
+    /// records this call wrote (0: another caller's write covered `seq`).
+    pub(crate) fn sync(&self, seq: u64) -> usize {
+        if self.written.load(Ordering::Acquire) >= seq {
+            return 0;
+        }
+        let mut state = self.state.lock().unwrap();
+        if self.written.load(Ordering::Acquire) >= seq {
+            return 0;
+        }
+        self.write_queue(&mut state)
+    }
+
+    /// The state lock, taken after writing the queue out, so whatever the
+    /// caller reads or changes includes every committed record.
+    fn written_out(&self) -> MutexGuard<'_, JournalState> {
+        let mut state = self.state.lock().unwrap();
+        self.write_queue(&mut state);
+        state
+    }
+
+    /// Writes every queued record with one `write_all` and moves them to
+    /// `records`. Returns how many it wrote.
+    fn write_queue(&self, state: &mut JournalState) -> usize {
+        let from = state.records.len();
+        state.records.append(&mut self.queue.lock().unwrap());
+        let written = &state.records[from..];
+        let Some(last) = written.last().map(|r| r.seq) else {
+            return 0;
+        };
+        state.frames.clear();
+        for record in written {
+            encode_frame(record, None, &mut state.frames);
+        }
+        if let Some(file) = state.file.as_mut() {
+            file.write_all(&state.frames)
+                .expect("journal append failed: backing file unwritable");
+        }
+        state.file_len += state.frames.len() as u64;
+        self.written.store(last, Ordering::Release);
+        written.len()
+    }
+
+    /// The synchronous single-record append: in memory, or with a fault
+    /// armed. Marks the journal dead when an injected fault kills it.
+    fn append_locked(&self, state: &mut JournalState, record: JournalRecord) {
+        let seq = record.seq;
+        if state.faults.crash_before_append_on_record == Some(seq) {
+            state.faults.crash_before_append_on_record = None;
+            self.dead.store(true, Ordering::SeqCst);
+            return; // applied but never journaled: the crash window
+        }
 
         // In-memory hot path: with no backing file and no armed faults the
         // frame (length, CRC, encoded command) exists only to survive a
@@ -319,7 +338,7 @@ impl Journal {
         // tax on the mediation hot path to a clone and a push.
         if state.file.is_none() && state.faults.is_none() {
             state.records.push(record);
-            return true;
+            return;
         }
 
         let corrupt = if state.faults.corrupt_crc_on_record == Some(seq) {
@@ -328,58 +347,69 @@ impl Journal {
         } else {
             false
         };
-        let mut frame = BytesMut::new();
-        encode_frame(&record, corrupt.then_some(0xFF), &mut frame);
+        state.frames.clear();
+        encode_frame(&record, corrupt.then_some(0xFF), &mut state.frames);
+        let JournalState {
+            file,
+            file_len,
+            frames,
+            faults,
+            records,
+        } = state;
 
-        if let Some(tear_at) = state.faults.torn_write_at_byte {
-            let end = state.file_len + frame.len() as u64;
+        if let Some(tear_at) = faults.torn_write_at_byte {
+            let end = *file_len + frames.len() as u64;
             if end > tear_at {
-                state.faults.torn_write_at_byte = None;
-                let keep = tear_at.saturating_sub(state.file_len) as usize;
-                if let Some(file) = state.file.as_mut() {
-                    let _ = file.write_all(&frame[..keep]);
+                faults.torn_write_at_byte = None;
+                let keep = tear_at.saturating_sub(*file_len) as usize;
+                if let Some(file) = file.as_mut() {
+                    let _ = file.write_all(&frames[..keep]);
                 }
                 self.dead.store(true, Ordering::SeqCst);
-                return false; // process died mid-write; record never committed
+                return; // process died mid-write; record never committed
             }
         }
 
-        let frame_len = frame.len() as u64;
-        if let Some(file) = state.file.as_mut() {
-            file.write_all(&frame)
+        if let Some(file) = file.as_mut() {
+            file.write_all(frames)
                 .expect("journal append failed: backing file unwritable");
         }
-        state.file_len += frame_len;
-        state.records.push(record);
-        true
+        *file_len += frames.len() as u64;
+        records.push(record);
+        self.written.store(seq, Ordering::Release);
+    }
+
+    /// Runs `f` over the records with `seq > since`, in order, in place —
+    /// the recovery replay suffix, read without cloning a command.
+    pub(crate) fn with_records_since<R>(
+        &self,
+        since: u64,
+        f: impl FnOnce(&[JournalRecord]) -> R,
+    ) -> R {
+        let state = self.written_out();
+        let start = state.records.partition_point(|r| r.seq <= since);
+        f(&state.records[start..])
     }
 
     /// Records with `seq > since`, in order — the warm-standby catch-up
     /// cursor and the recovery replay suffix.
     pub fn records_since(&self, since: u64) -> Vec<JournalRecord> {
-        let state = self.state.lock().unwrap();
-        let start = state.records.partition_point(|r| r.seq <= since);
-        state.records[start..].to_vec()
+        self.with_records_since(since, <[JournalRecord]>::to_vec)
     }
 
     /// Every retained record (a full trace for record/replay debugging).
     pub fn trace(&self) -> Vec<JournalRecord> {
-        self.state.lock().unwrap().records.clone()
+        self.written_out().records.clone()
     }
 
     /// The highest committed sequence, or 0 when empty.
     pub fn last_seq(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap()
-            .records
-            .last()
-            .map_or(0, |r| r.seq)
+        self.written_out().records.last().map_or(0, |r| r.seq)
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap().records.len()
+        self.written_out().records.len()
     }
 
     /// True when no records are retained.
@@ -391,8 +421,14 @@ impl Journal {
     /// snapshot makes that prefix redundant. The file is left alone (it
     /// remains a valid superset; rewriting it is a restart-time concern).
     pub fn compact(&self, through_seq: u64) {
-        let mut state = self.state.lock().unwrap();
-        state.records.retain(|r| r.seq > through_seq);
+        self.written_out().records.retain(|r| r.seq > through_seq);
+    }
+
+    /// Writes out every queued record — the barrier [`crate::kernel::Kernel::seal`]
+    /// ends with, so a sealed primary's journal holds every command it
+    /// acknowledged.
+    pub(crate) fn flush(&self) {
+        drop(self.written_out());
     }
 }
 
@@ -408,17 +444,21 @@ impl std::fmt::Debug for Journal {
     }
 }
 
-/// Encodes one `[u32 len][u32 crc32][payload]` frame onto `out`.
+/// Encodes one `[u32 len][u32 crc32][payload]` frame onto `out`, in
+/// place: the payload goes straight after a header placeholder that is
+/// filled in once its length and CRC are known.
 /// `crc_xor` flips the stored CRC (the corrupt-CRC fault injection).
 fn encode_frame(record: &JournalRecord, crc_xor: Option<u32>, out: &mut BytesMut) {
-    let mut payload = BytesMut::new();
-    payload.put_u64(record.seq);
-    payload.put_u64(record.audit_seq_after);
-    encode_command(&record.cmd, &mut payload);
-    let crc = crc32(&payload) ^ crc_xor.unwrap_or(0);
-    out.put_u32(payload.len() as u32);
-    out.put_u32(crc);
-    out.extend_from_slice(&payload);
+    let header = out.len();
+    out.put_u64(0);
+    out.put_u64(record.seq);
+    out.put_u64(record.audit_seq_after);
+    encode_command(&record.cmd, out);
+    let payload = &out[header + 8..];
+    let len = payload.len() as u32;
+    let crc = crc32(payload) ^ crc_xor.unwrap_or(0);
+    out[header..header + 4].copy_from_slice(&len.to_be_bytes());
+    out[header + 4..header + 8].copy_from_slice(&crc.to_be_bytes());
 }
 
 fn decode_record(mut payload: Bytes) -> Result<JournalRecord, crate::command::DecodeError> {
@@ -463,6 +503,27 @@ mod tests {
         Command::AdvanceClock { secs }
     }
 
+    /// One committed command, written before it returns: queue, then sync.
+    fn append(j: &Journal, seq: u64, audit_seq_after: u64, cmd: Command) {
+        if j.append(seq, audit_seq_after, cmd) {
+            j.sync(seq);
+        }
+    }
+
+    /// A commit group: every record queued, then one sync for the last.
+    fn append_group(j: &Journal, entries: Vec<(u64, u64, Command)>) {
+        let Some(last) = entries.last().map(|e| e.0) else {
+            return;
+        };
+        let mut queued = false;
+        for (seq, audit_seq_after, cmd) in entries {
+            queued |= j.append(seq, audit_seq_after, cmd);
+        }
+        if queued {
+            j.sync(last);
+        }
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE check value.
@@ -474,7 +535,7 @@ mod tests {
     fn in_memory_append_and_cursor() {
         let j = Journal::in_memory();
         for i in 1..=5 {
-            j.append(i, i * 10, cmd(i));
+            append(&j, i, i * 10, cmd(i));
         }
         assert_eq!(j.last_seq(), 5);
         assert_eq!(j.len(), 5);
@@ -492,8 +553,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let j = Journal::open(&path).unwrap();
-            j.append(1, 2, cmd(1));
-            j.append(
+            append(&j, 1, 2, cmd(1));
+            append(
+                &j,
                 2,
                 4,
                 Command::RegisterApp {
@@ -518,8 +580,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let j = Journal::open(&path).unwrap();
-            j.append(1, 1, cmd(1));
-            j.append(2, 2, cmd(2));
+            append(&j, 1, 1, cmd(1));
+            append(&j, 2, 2, cmd(2));
         }
         let full = std::fs::read(&path).unwrap();
         // Tear mid-way through the second frame.
@@ -532,7 +594,7 @@ mod tests {
         let survived = std::fs::read(&path).unwrap();
         assert!(survived.len() < cut);
         // Appending after recovery produces a clean frame again.
-        j.append(2, 2, cmd(2));
+        append(&j, 2, 2, cmd(2));
         drop(j);
         let j = Journal::open(&path).unwrap();
         assert_eq!(j.last_seq(), 2);
@@ -549,9 +611,9 @@ mod tests {
                 corrupt_crc_on_record: Some(2),
                 ..JournalFaults::default()
             });
-            j.append(1, 1, cmd(1));
-            j.append(2, 2, cmd(2));
-            j.append(3, 3, cmd(3));
+            append(&j, 1, 1, cmd(1));
+            append(&j, 2, 2, cmd(2));
+            append(&j, 3, 3, cmd(3));
             // The live process kept all three in memory.
             assert_eq!(j.last_seq(), 3);
             assert!(!j.is_dead());
@@ -567,17 +629,17 @@ mod tests {
         let path = tmp("torn-fault");
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
-        j.append(1, 1, cmd(1));
+        append(&j, 1, 1, cmd(1));
         let first_frame_len = std::fs::metadata(&path).unwrap().len();
         j.arm_faults(JournalFaults {
             torn_write_at_byte: Some(first_frame_len + 3),
             ..JournalFaults::default()
         });
-        j.append(2, 2, cmd(2));
+        append(&j, 2, 2, cmd(2));
         assert!(j.is_dead());
         assert_eq!(j.last_seq(), 1, "torn record never committed in memory");
         // Further appends are dropped: the process is dead.
-        j.append(3, 3, cmd(3));
+        append(&j, 3, 3, cmd(3));
         assert_eq!(j.last_seq(), 1);
         drop(j);
         let j = Journal::open(&path).unwrap();
@@ -592,8 +654,8 @@ mod tests {
             crash_before_append_on_record: Some(2),
             ..JournalFaults::default()
         });
-        j.append(1, 1, cmd(1));
-        j.append(2, 2, cmd(2));
+        append(&j, 1, 1, cmd(1));
+        append(&j, 2, 2, cmd(2));
         assert!(j.is_dead());
         assert_eq!(j.last_seq(), 1);
     }
@@ -615,10 +677,10 @@ mod tests {
         {
             let serial = Journal::open(&serial_path).unwrap();
             for i in 1..=3 {
-                serial.append(i, i * 7, cmd(i));
+                append(&serial, i, i * 7, cmd(i));
             }
             let batch = Journal::open(&batch_path).unwrap();
-            batch.append_batch((1..=3).map(|i| (i, i * 7, cmd(i))).collect());
+            append_group(&batch, (1..=3).map(|i| (i, i * 7, cmd(i))).collect());
             assert_eq!(batch.len(), 3);
             assert_eq!(batch.last_seq(), 3);
         }
@@ -646,7 +708,7 @@ mod tests {
         let prefix_len;
         {
             let j = Journal::open(&path).unwrap();
-            j.append(1, 1, cmd(1));
+            append(&j, 1, 1, cmd(1));
             // Every AdvanceClock record has the same frame length, so the
             // file length after one append doubles as the frame size.
             prefix_len = std::fs::metadata(&path).unwrap().len();
@@ -658,7 +720,7 @@ mod tests {
                 torn_write_at_byte: Some(prefix_len + frame_len + frame_len / 2),
                 ..JournalFaults::default()
             });
-            j.append_batch(vec![(2, 2, cmd(2)), (3, 3, cmd(3)), (4, 4, cmd(4))]);
+            append_group(&j, vec![(2, 2, cmd(2)), (3, 3, cmd(3)), (4, 4, cmd(4))]);
             // The journal died at the tear; the batch suffix was dropped.
             assert!(j.is_dead());
             assert_eq!(
@@ -678,19 +740,19 @@ mod tests {
     #[test]
     fn batch_append_to_dead_or_empty_is_a_noop() {
         let j = Journal::in_memory();
-        j.append_batch(Vec::new());
+        append_group(&j, Vec::new());
         assert!(j.is_empty());
-        j.append_batch(vec![(1, 1, cmd(1)), (2, 2, cmd(2))]);
+        append_group(&j, vec![(1, 1, cmd(1)), (2, 2, cmd(2))]);
         assert_eq!(j.len(), 2);
         j.arm_faults(JournalFaults {
             crash_before_append_on_record: Some(3),
             ..JournalFaults::default()
         });
-        j.append_batch(vec![(3, 3, cmd(3)), (4, 4, cmd(4))]);
+        append_group(&j, vec![(3, 3, cmd(3)), (4, 4, cmd(4))]);
         assert!(j.is_dead());
         assert_eq!(j.last_seq(), 2);
         // Dead journals swallow batches silently, same as append().
-        j.append_batch(vec![(5, 5, cmd(5))]);
+        append_group(&j, vec![(5, 5, cmd(5))]);
         assert_eq!(j.last_seq(), 2);
     }
 }

@@ -13,8 +13,8 @@
 //! # Concurrency
 //!
 //! One lock, one owner. Everything a command can change — journal handle,
-//! app registry, subscriptions, ownership tracker, host system, host inbox,
-//! switch-lane pool — is a plain field of [`State`], owned by the commit
+//! app registry, subscriptions, ownership tracker, host system, host
+//! inbox — is a plain field of [`State`], owned by the commit
 //! mutex. Writers serialize at the seam: check and apply are one step under
 //! the commit guard, so a quota can never be overshot by racing checks and
 //! a [`Kernel::snapshot`] never cuts a transaction in half (DESIGN.md §6,
@@ -29,19 +29,17 @@
 //! subscriber lookups and the loading-time token check read those views and
 //! nothing else of the guarded state. What remains is independently
 //! synchronized and owned elsewhere: the `netsim` network (per-switch
-//! mutexes and its own RCU views — the reactor and lane threads write it),
+//! mutexes and its own RCU views — the reactor writes it too),
 //! the lock-free audit ring, the decision-trace buffer, and the atomic
 //! tracker-epoch mirror.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bytes::Bytes;
 use crossbeam::epoch::{self, RcuCell};
-use crossbeam::queue::ArrayQueue;
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use sdnshield_core::api::{ApiCall, ApiCallKind, AppId, EventKind};
 use sdnshield_core::engine::{Decision, OwnershipTracker, PermissionEngine};
@@ -51,7 +49,6 @@ use sdnshield_core::token::PermissionToken;
 use sdnshield_core::vtopo::{PhysView, VirtualTopology};
 use sdnshield_netsim::network::{Delivery, Network, RemovedFlow};
 use sdnshield_openflow::flow_match::FlowMatch;
-use sdnshield_openflow::flow_table::RemovedEntry;
 use sdnshield_openflow::messages::{
     FlowMod, FlowRemoved, OfError, PacketIn, PacketOut, StatsReply, StatsRequest,
 };
@@ -77,305 +74,42 @@ pub struct OutboundEvent {
 /// events its application generated.
 type Submitted = (CommandOutcome, Vec<OutboundEvent>);
 
-/// The held commit lock, owning every piece of write-side state.
-type CommitGuard<'a> = MutexGuard<'a, State>;
-
-/// One drained batch entry: the parked peer to answer (`None` for the
-/// combiner's own command) and the command, taken once journaled.
-type BatchEntry = (Option<Arc<SubmitSlot>>, Option<Command>);
-
-/// Capacity of the flat-combining slot ring: how many contending submitters
-/// can park behind the combiner before the overflow path falls back to
-/// blocking on the commit lock directly.
-const SUBMIT_RING_CAPACITY: usize = 64;
-
-/// How long a parked submitter waits on its slot condvar before re-checking
-/// whether it should become the combiner itself (guards against the window
-/// where every combiner finished before the slot landed in the ring).
-const SUBMIT_PARK: Duration = Duration::from_micros(50);
-
-/// Yield-spin budget a waiting submitter burns before falling back to the
-/// timed condvar park. Combiner drains are microseconds long, so a handful
-/// of scheduler yields almost always covers them — without paying a futex
-/// sleep/wake round-trip per combined command.
-const SUBMIT_SPINS: u32 = 1024;
-
-/// Spin budget adjusted for the host: on a uniprocessor the combiner can
-/// only make progress while the waiter is *off* the core, so yield-spinning
-/// just burns scheduler round-trips — park immediately and let the
-/// combiner's fulfil wake us instead.
-fn submit_spin_budget() -> u32 {
-    static BUDGET: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores > 1 {
-            SUBMIT_SPINS
-        } else {
-            0
-        }
-    })
-}
-
-/// One parked submitter's rendezvous cell in the flat-combining protocol
-/// (DESIGN.md §16). The submitter publishes its command here and parks; the
-/// combiner takes the command, applies it as part of a drained batch, and
-/// hands the result back through the same cell.
-///
-/// Built on `std::sync` (not the parking_lot shim) because the protocol
-/// needs a condvar. Lock ordering: the combiner takes a slot's mutex only
-/// while holding the commit lock; a waiter never acquires the commit lock
-/// while holding its slot mutex — so the pair cannot invert.
-struct SubmitSlot {
-    state: std::sync::Mutex<SlotState>,
-    cv: std::sync::Condvar,
-}
-
-struct SlotState {
-    /// The submitted command; taken (exactly once) by the combiner.
-    cmd: Option<Command>,
-    /// The command's result; taken (exactly once) by the submitter.
-    done: Option<Submitted>,
-    /// Has the submitter ever gone to sleep on `cv`? One that is still
-    /// yield-spinning finds `done` by itself, so the combiner skips the
-    /// wake — an unconditional futex syscall — for it.
-    parked: bool,
-}
-
-impl SubmitSlot {
-    fn new(cmd: Command) -> SubmitSlot {
-        SubmitSlot {
-            state: std::sync::Mutex::new(SlotState {
-                cmd: Some(cmd),
-                done: None,
-                parked: false,
-            }),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    fn state(&self) -> std::sync::MutexGuard<'_, SlotState> {
-        // Slot holders never panic while holding the lock (they only move
-        // options in and out), but swallow poisoning anyway: a lost submit
-        // must not cascade.
-        match self.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        }
-    }
-
-    fn take_cmd(&self) -> Option<Command> {
-        self.state().cmd.take()
-    }
-
-    fn fulfill(&self, result: Submitted) {
-        let mut st = self.state();
-        st.done = Some(result);
-        if st.parked {
-            self.cv.notify_one();
-        }
-    }
-
-    fn try_take_done(&self) -> Option<Submitted> {
-        self.state().done.take()
-    }
-
-    fn park(&self, timeout: Duration) {
-        let mut st = self.state();
-        if st.done.is_some() {
-            return;
-        }
-        st.parked = true;
-        let _ = self.cv.wait_timeout(st, timeout);
-    }
-}
-
-/// Internal combiner counters, all updated with relaxed atomics on the
-/// write path and snapshotted by [`Kernel::combiner_stats`]. A drain of one
-/// command — the hot path — touches only `submitted`; the snapshot derives
-/// the single-command bucket from it.
+/// Write-pipeline counters, updated with relaxed atomics on the write path
+/// and snapshotted by [`Kernel::combiner_stats`].
 #[derive(Default)]
 struct CombinerCounters {
-    /// Commands drained through [`Kernel::submit`].
+    /// Commands that entered [`Kernel::submit`].
     submitted: AtomicU64,
-    /// Commands drained in batches of two or more.
-    batched: AtomicU64,
-    /// Commands applied by a combiner on behalf of a parked peer.
+    /// Journal writes: one per `write(2)` of a queued group, or one per
+    /// command when no file journal group-commits.
+    writes: AtomicU64,
+    /// Commands whose record another submitter's write covered.
     combined: AtomicU64,
-    /// Submitters that found the slot ring full and fell back to blocking
-    /// on the commit lock directly.
-    ring_fallbacks: AtomicU64,
-    /// Batch-size histogram: buckets 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+.
-    /// Bucket 0 is derived (`submitted - batched`), never written.
-    batch_hist: [AtomicU64; 8],
-    /// Largest batch of two or more drained so far.
-    max_batch: AtomicU64,
-    /// Flow-mods fanned out to switch lanes.
-    lane_jobs: AtomicU64,
-    /// Lane-parallel runs executed.
-    lane_runs: AtomicU64,
-    /// Deepest per-run lane fan-out observed.
-    max_lane_run: AtomicU64,
-    /// Configured switch-lane count, mirrored here so the stats snapshot
-    /// never takes the commit lock that owns the pool.
-    lanes: AtomicU64,
 }
 
-fn hist_bucket(n: usize) -> usize {
-    match n {
-        0 | 1 => 0,
-        2 => 1,
-        3..=4 => 2,
-        5..=8 => 3,
-        9..=16 => 4,
-        17..=32 => 5,
-        33..=64 => 6,
-        _ => 7,
-    }
-}
-
-/// A point-in-time snapshot of the group-commit write pipeline's health,
+/// A point-in-time snapshot of the write pipeline's journal group commit,
 /// surfaced through `ShieldedController::combiner_stats` next to
 /// `fast_path_hits` (DESIGN.md §16).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CombinerStats {
     /// Commands that entered `submit`.
     pub submitted: u64,
-    /// Non-empty batch drains.
-    pub drains: u64,
-    /// Commands applied by a combiner on behalf of a parked peer.
+    /// Journal writes: `write(2)` calls that wrote a queued group, or one
+    /// per command on a kernel without a file journal.
+    pub writes: u64,
+    /// Commands whose journal record another submitter's write covered.
     pub combined: u64,
-    /// Ring-full fallbacks to the blocking commit lock.
-    pub ring_fallbacks: u64,
-    /// Batch-size histogram: buckets 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+.
-    pub batch_hist: [u64; 8],
-    /// Largest batch drained.
-    pub max_batch: u64,
-    /// Current slot-ring occupancy (combiner-occupancy gauge).
-    pub ring_depth: usize,
-    /// Slot-ring capacity.
-    pub ring_capacity: usize,
-    /// Flow-mods fanned out to switch lanes.
-    pub lane_jobs: u64,
-    /// Lane-parallel runs executed.
-    pub lane_runs: u64,
-    /// Deepest per-run lane fan-out (lane-queue-depth high-water mark).
-    pub max_lane_run: u64,
-    /// Configured switch-lane count (0 = lanes disabled).
-    pub lanes: usize,
 }
 
 impl CombinerStats {
-    /// Mean commands per non-empty drain (1.0 when uncontended).
+    /// Mean commands per journal write (1.0 when uncontended).
     pub fn mean_batch(&self) -> f64 {
-        if self.drains == 0 {
+        if self.writes == 0 {
             0.0
         } else {
-            self.submitted as f64 / self.drains as f64
+            self.submitted as f64 / self.writes as f64
         }
     }
-}
-
-/// A flow-mod application job bound for a switch's home lane.
-struct LaneJob {
-    /// Position within the current run (results are reassembled by index).
-    idx: usize,
-    dpid: DatapathId,
-    flow_mod: FlowMod,
-}
-
-/// Outcome of one lane-applied flow-mod.
-type LaneApply = Result<Vec<RemovedEntry>, OfError>;
-/// A lane's reply: the job's run index plus its apply outcome.
-type LaneResult = (usize, LaneApply);
-
-/// Single-writer switch lanes: N worker threads, each the *only* writer for
-/// its home shard of datapaths (`dpid % lanes`), so flow-mod application
-/// inside a combiner drain takes effectively uncontended switch locks. Jobs
-/// for the same dpid always land on the same lane in drain order, so
-/// per-switch apply order — and with it every removed-entry event — is
-/// identical to the serial path.
-struct LanePool {
-    senders: Vec<crossbeam::channel::Sender<LaneJob>>,
-    results_rx: crossbeam::channel::Receiver<LaneResult>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl LanePool {
-    fn new(network: Arc<Network>, lanes: usize, pin: bool) -> LanePool {
-        let (res_tx, res_rx) = crossbeam::channel::unbounded::<LaneResult>();
-        let mut senders = Vec::with_capacity(lanes);
-        let mut handles = Vec::with_capacity(lanes);
-        for i in 0..lanes {
-            let (tx, rx) = crossbeam::channel::unbounded::<LaneJob>();
-            let net = Arc::clone(&network);
-            let res = res_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("ksl-{i}"))
-                .spawn(move || {
-                    if pin {
-                        let _ = affinity::pin_to_core(i);
-                    }
-                    while let Ok(job) = rx.recv() {
-                        let out = net.apply_flow_mod(job.dpid, &job.flow_mod);
-                        if res.send((job.idx, out)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("failed to spawn switch lane");
-            senders.push(tx);
-            handles.push(handle);
-        }
-        LanePool {
-            senders,
-            results_rx: res_rx,
-            handles,
-        }
-    }
-
-    /// The home lane for a datapath.
-    fn home(&self, dpid: DatapathId) -> usize {
-        dpid.0 as usize % self.senders.len()
-    }
-
-    fn dispatch(&self, idx: usize, dpid: DatapathId, flow_mod: FlowMod) {
-        let _ = self.senders[self.home(dpid)].send(LaneJob {
-            idx,
-            dpid,
-            flow_mod,
-        });
-    }
-
-    /// Collects exactly `jobs` results into `sink` by index.
-    fn collect(&self, jobs: usize, sink: &mut [Option<LaneApply>]) {
-        for _ in 0..jobs {
-            let (idx, out) = self.results_rx.recv().expect("switch lane died mid-batch");
-            sink[idx] = Some(out);
-        }
-    }
-}
-
-impl Drop for LanePool {
-    fn drop(&mut self) {
-        self.senders.clear(); // disconnect: workers exit their recv loop
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The precomputed per-command plan for one entry of a lane-parallel run:
-/// the permission decision is already made (it was call-only, hence a pure
-/// function of the call), the cookie is stamped, and the target is a single
-/// physical datapath.
-struct FlowLanePlan<'a> {
-    call: &'a ApiCall,
-    dpid: DatapathId,
-    decision: Decision,
-    /// `Some` iff the call passed its check (denied calls carry no mod).
-    stamped: Option<FlowMod>,
 }
 
 /// Read-mostly app registry: written only at register/deregister time, read
@@ -424,8 +158,6 @@ struct State {
     host: HostSystem,
     /// Frames delivered to host NICs, for data-plane observation in tests.
     host_inbox: BTreeMap<EthAddr, Vec<EthernetFrame>>,
-    /// Single-writer switch lanes (`None` = lanes disabled, the default).
-    lanes: Option<LanePool>,
 }
 
 /// The kernel: shared, internally synchronized controller state.
@@ -456,11 +188,6 @@ pub struct Kernel {
     /// Opt-in: run the `sdnshield-analysis` lint pass over manifests at
     /// registration time, rejecting manifests with error-severity findings.
     lint_on_register: std::sync::atomic::AtomicBool,
-    /// Flat-combining slot ring (DESIGN.md §16): submitters who lose the
-    /// race for the commit lock publish their command here; the lock winner
-    /// drains the ring and applies the whole batch under one acquisition
-    /// with one amortized journal group-append.
-    submit_ring: ArrayQueue<Arc<SubmitSlot>>,
     /// Write-pipeline observability counters.
     combiner: CombinerCounters,
     /// Set by [`Kernel::seal`]: every later submit is refused with
@@ -520,7 +247,6 @@ impl Kernel {
                 tracker: OwnershipTracker::new(),
                 host: HostSystem::new(),
                 host_inbox: BTreeMap::new(),
-                lanes: None,
             }),
             tracker_epoch: AtomicU64::new(0),
             network: Arc::new(network),
@@ -528,7 +254,6 @@ impl Kernel {
             checks_enabled,
             absorb_packet_outs: std::sync::atomic::AtomicBool::new(false),
             lint_on_register: std::sync::atomic::AtomicBool::new(false),
-            submit_ring: ArrayQueue::new(SUBMIT_RING_CAPACITY),
             combiner: CombinerCounters::default(),
             sealed: AtomicBool::new(false),
             last_applied: AtomicU64::new(0),
@@ -917,21 +642,21 @@ impl Kernel {
 
     /// Performs an authorized call and audits its outcome. In CBench mode
     /// a packet-out skips the data-plane walk, but a wire-attached switch
-    /// still gets the mediated reply on its socket.
+    /// still gets the mediated reply on its socket — audited before it
+    /// leaves, so a switch that sees the reply can already find the record.
     fn perform_audited(
         &self,
         state: &mut State,
         call: &ApiCall,
     ) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
-        let (result, events) = match &call.kind {
-            ApiCallKind::SendPacketOut { dpid, packet_out }
-                if self.absorb_packet_outs.load(Ordering::SeqCst) =>
-            {
+        if let ApiCallKind::SendPacketOut { dpid, packet_out } = &call.kind {
+            if self.absorb_packet_outs.load(Ordering::SeqCst) {
+                self.audit_call_outcome(call, true);
                 self.network.notify_wire_packet_out(*dpid, packet_out);
-                (Ok(ApiResponse::Unit), Vec::new())
+                return (Ok(ApiResponse::Unit), Vec::new());
             }
-            _ => self.perform(state, call),
-        };
+        }
+        let (result, events) = self.perform(state, call);
         self.audit_call_outcome(call, result.is_ok());
         (result, events)
     }
@@ -1460,8 +1185,9 @@ impl Kernel {
     // The deterministic command pipeline (DESIGN.md §12).
     // ------------------------------------------------------------------
 
-    /// Attaches a command journal: every subsequent command is appended to
-    /// it, under the commit lock, right after it is applied. Attach AFTER
+    /// Attaches a command journal: every subsequent command is queued on it
+    /// under the commit lock, right after it is applied, and written before
+    /// its submit returns. Attach AFTER
     /// any recovery replay has finished — replay must never re-append the
     /// records it is consuming.
     pub fn attach_journal(&self, journal: Arc<Journal>) {
@@ -1485,13 +1211,17 @@ impl Kernel {
 
     /// Fences this kernel: every later [`Kernel::submit`] is refused with
     /// [`ApiError::Shutdown`] instead of being applied. Locking and
-    /// unlocking the commit mutex makes seal a barrier — by the time it
-    /// returns, any in-flight submit has finished appending, so the journal
-    /// holds every command whose reply was acknowledged. This is how
+    /// unlocking the commit mutex makes seal a barrier — every in-flight
+    /// submit has committed and queued its record — and writing the
+    /// journal's queue out then puts every committed record on file, so the
+    /// journal holds every command whose reply was acknowledged. This is how
     /// failover fences the old primary before promoting the standby.
     pub fn seal(&self) {
         self.sealed.store(true, Ordering::SeqCst);
-        drop(self.commit.lock());
+        let journal = self.commit.lock().journal.clone();
+        if let Some(journal) = journal {
+            journal.flush();
+        }
     }
 
     /// Has this kernel been sealed?
@@ -1499,402 +1229,71 @@ impl Kernel {
         self.sealed.load(Ordering::SeqCst)
     }
 
-    /// The single mutation seam, a flat-combining group commit (DESIGN.md
-    /// §16): an uncontended submitter takes the commit lock and applies
-    /// inline. A contended submitter publishes its command into the slot
-    /// ring and parks; the lock winner drains the ring and applies the
-    /// whole batch under *one* lock acquisition with *one* amortized
-    /// journal group-append, then hands each parked peer its
-    /// `(CommandOutcome, events)` through its slot. Journal order is
-    /// identical to commit order, and every record's `audit_seq_after`
-    /// watermark is captured immediately after that command's audit
-    /// records land — per-record exact, not batch-granular. A kernel with
-    /// no journal attached runs the same seam and appends nothing.
+    /// The single mutation seam (DESIGN.md §16): take the commit lock, apply
+    /// the command, queue its journal record, drop the lock, then wait for
+    /// the record to be written. Journal order is commit order, and every
+    /// record's `audit_seq_after` watermark is captured right after that
+    /// command's audit records land. The file write happens outside the
+    /// lock: a group of submitters that committed meanwhile shares one
+    /// `write(2)` (see [`crate::journal`]). A kernel with no journal
+    /// attached runs the same seam and appends nothing.
     pub fn submit(&self, cmd: Command) -> (CommandOutcome, Vec<OutboundEvent>) {
-        // Uncontended fast path: win the lock outright and become the
-        // combiner for whatever contention arrives meanwhile. One yield,
-        // one retry, before committing to the slot protocol: on an
-        // oversubscribed host a failed try_lock usually means the holder
-        // was preempted mid-commit; handing it the core lets it finish, and
-        // the retry takes the fast path — skipping a slot publish and a
-        // cross-thread handoff for a one-syscall toll.
-        let won = self.commit.try_lock().or_else(|| {
-            std::thread::yield_now();
-            self.commit.try_lock()
-        });
-        let (guard, cmd) = match won {
-            Some(guard) => (guard, cmd),
-            None => {
-                let slot = Arc::new(SubmitSlot::new(cmd));
-                if self.submit_ring.push(Arc::clone(&slot)).is_ok() {
-                    return self.wait_or_combine(slot);
-                }
-                // Ring full: fall back to blocking on the commit lock. The
-                // slot was never published, so the command is still ours.
-                self.combiner.ring_fallbacks.fetch_add(1, Ordering::Relaxed);
-                let cmd = slot
-                    .take_cmd()
-                    .expect("unpublished slot still holds its command");
-                (self.commit.lock(), cmd)
-            }
-        };
-        self.combine(guard, Some(cmd))
-            .expect("combiner always produces its own result")
-    }
-
-    /// A parked submitter's wait loop: take the result if a combiner left
-    /// one, otherwise opportunistically become the combiner (the window
-    /// where every previous combiner drained *before* our slot landed in
-    /// the ring), otherwise park briefly and re-check. The timeout bounds
-    /// the cost of any lost-wakeup window to one park interval.
-    fn wait_or_combine(&self, slot: Arc<SubmitSlot>) -> Submitted {
-        let spin_budget = submit_spin_budget();
-        let mut spins = 0u32;
-        loop {
-            if let Some(done) = slot.try_take_done() {
-                return done;
-            }
-            if let Some(guard) = self.commit.try_lock() {
-                self.combine(guard, None);
-                if let Some(done) = slot.try_take_done() {
-                    return done;
-                }
-                // Our slot was claimed by a previous combiner that has not
-                // fulfilled it yet; spin briefly, then park until it does.
-            }
-            // Combiner drains are short — a yield usually hands the core
-            // straight to the combiner (the whole win on few-core hosts,
-            // where a futex sleep/wake round-trip per command would dwarf
-            // the drain itself). Fall back to a timed park once yielding
-            // has burned its budget so an unlucky schedule cannot spin hot.
-            if spins < spin_budget {
-                spins += 1;
+        // One yield and one retry before blocking: on an oversubscribed
+        // host a failed try_lock usually means the holder was preempted
+        // mid-commit; handing it the core lets it finish, and the retry
+        // wins without a futex sleep and wake.
+        let mut guard = self
+            .commit
+            .try_lock()
+            .or_else(|| {
                 std::thread::yield_now();
-            } else {
-                slot.park(SUBMIT_PARK);
-            }
-        }
-    }
-
-    /// Pops the next parked peer and takes its command.
-    fn pop_peer(&self) -> Option<BatchEntry> {
-        loop {
-            let peer = self.submit_ring.pop()?;
-            if let Some(cmd) = peer.take_cmd() {
-                return Some((Some(peer), Some(cmd)));
-            }
-        }
-    }
-
-    /// Assigns the next commit sequence.
-    fn next_seq(&self) -> u64 {
-        let seq = self.last_applied.load(Ordering::SeqCst) + 1;
-        self.last_applied.store(seq, Ordering::SeqCst);
-        seq
-    }
-
-    /// Counts one non-empty drain of `n` commands.
-    fn count_drain(&self, n: usize, had_own: bool) {
+                self.commit.try_lock()
+            })
+            .unwrap_or_else(|| self.commit.lock());
+        let (out, queued) = self.commit_one(&mut guard, cmd);
+        drop(guard);
         let c = &self.combiner;
-        c.submitted.fetch_add(n as u64, Ordering::Relaxed);
-        if n > 1 {
-            c.batched.fetch_add(n as u64, Ordering::Relaxed);
-            c.batch_hist[hist_bucket(n)].fetch_add(1, Ordering::Relaxed);
-            c.max_batch.fetch_max(n as u64, Ordering::Relaxed);
-        }
-        let peers = n - usize::from(had_own);
-        if peers > 0 {
-            c.combined.fetch_add(peers as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// The combiner: drains the slot ring behind `own_cmd` (if any) and
-    /// applies the whole batch under the held commit lock, releasing it on
-    /// return. Returns the caller's own result — `Some` iff `own_cmd` was
-    /// supplied; a parked waiter that won the lock re-reads its slot.
-    fn combine(&self, mut guard: CommitGuard<'_>, own_cmd: Option<Command>) -> Option<Submitted> {
-        let state = &mut *guard;
-        let had_own = own_cmd.is_some();
-        // Batch entries in commit order — our own command first (it reached
-        // the lock first), then ring arrival order.
-        let first = own_cmd
-            .map(|cmd| (None, Some(cmd)))
-            .or_else(|| self.pop_peer());
-        let (first, second) = (first?, self.pop_peer());
-        let Some(second) = second else {
-            // A drain of exactly one command — every call on a single-writer
-            // kernel, and a parked waiter serving itself — builds no batch.
-            let (peer, cmd) = first;
-            let out = self.commit_one(state, cmd.expect("undrained entry"), had_own);
-            return match peer {
-                Some(peer) => {
-                    peer.fulfill(out);
-                    None
-                }
-                None => Some(out),
-            };
-        };
-        let mut batch = vec![first, second];
-        while let Some(peer) = self.pop_peer() {
-            batch.push(peer);
-        }
-        let n = batch.len();
-        self.count_drain(n, had_own);
-
-        let mut results: Vec<Option<Submitted>> = Vec::new();
-        results.resize_with(n, || None);
-        let mut entries: Vec<(u64, u64, Command)> = Vec::new();
-        if self.sealed.load(Ordering::SeqCst) {
-            for ((_, cmd), result) in batch.iter().zip(&mut results) {
-                let cmd = cmd.as_ref().expect("unapplied entry holds its command");
-                *result = Some((CommandOutcome::sealed_for(cmd), Vec::new()));
+        c.submitted.fetch_add(1, Ordering::Relaxed);
+        match queued {
+            Some((journal, seq)) if journal.sync(seq) == 0 => {
+                c.combined.fetch_add(1, Ordering::Relaxed);
             }
-        } else {
-            self.apply_batch(state, &mut batch, &mut results, &mut entries);
-        }
-        if let Some(journal) = state.journal.as_ref() {
-            if !entries.is_empty() {
-                journal.append_batch(entries);
+            _ => {
+                c.writes.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        // Fulfill parked peers *before* releasing the commit lock: seal()'s
-        // lock/unlock barrier then guarantees every acknowledged command is
-        // already journaled when promote() proceeds.
-        let mut own_result = None;
-        for ((peer, _), result) in batch.into_iter().zip(results) {
-            let result = result.expect("every batch entry was resolved");
-            match peer {
-                Some(peer) => peer.fulfill(result),
-                None => own_result = Some(result),
-            }
-        }
-        own_result
-    }
-
-    /// Commits a single command under the held lock: apply, sequence, and
-    /// one single-record journal append.
-    fn commit_one(&self, state: &mut State, cmd: Command, own: bool) -> Submitted {
-        self.count_drain(1, own);
-        if self.sealed.load(Ordering::SeqCst) {
-            return (CommandOutcome::sealed_for(&cmd), Vec::new());
-        }
-        let out = self.apply_command(state, &cmd);
-        let seq = self.next_seq();
-        if let Some(journal) = state.journal.as_ref() {
-            journal.append(seq, self.audit.seen(), cmd);
         }
         out
     }
 
-    /// Applies a drained batch in commit order. Contiguous runs of
-    /// lane-eligible flow-mod calls fan out across the single-writer switch
-    /// lanes; everything else applies serially via `apply_command`. Each
-    /// entry's journal tuple captures `audit.seen()` immediately after its
-    /// own audit records land, keeping per-record watermarks exact.
-    fn apply_batch(
+    /// Commits one command under the held lock: apply, sequence, journal.
+    /// Returns the outcome plus, when the journal only queued the record,
+    /// the journal and sequence the caller must sync once the lock is gone.
+    fn commit_one(
         &self,
         state: &mut State,
-        batch: &mut [BatchEntry],
-        results: &mut [Option<Submitted>],
-        entries: &mut Vec<(u64, u64, Command)>,
-    ) {
-        let journaling = state.journal.is_some();
-        // The pool leaves the state for the drain, so a lane run can borrow
-        // it alongside `&mut State`. (A panic mid-drain drops it: lanes stay
-        // off, and the serial path is equivalent by construction.)
-        let lanes = state.lanes.take();
-        let n = batch.len();
-        let mut i = 0;
-        while i < n {
-            // Open a lane-parallel run at `i` when lanes are configured and
-            // at least two consecutive entries are eligible.
-            if let Some(pool) = lanes.as_ref() {
-                let plans: Vec<FlowLanePlan<'_>> = batch[i..]
-                    .iter()
-                    .map_while(|(_, cmd)| {
-                        self.lane_plan(state, cmd.as_ref().expect("unapplied entry"))
-                    })
-                    .collect();
-                if plans.len() >= 2 {
-                    let outs = self.apply_flow_run(state, pool, plans);
-                    for out in outs {
-                        self.finish_entry(&mut batch[i], out, journaling, &mut results[i], entries);
-                        i += 1;
-                    }
-                    continue;
-                }
-            }
-            let cmd = batch[i].1.as_ref().expect("unapplied entry");
-            let out = self.apply_command(state, cmd);
-            self.finish_entry(&mut batch[i], out, journaling, &mut results[i], entries);
-            i += 1;
+        cmd: Command,
+    ) -> (Submitted, Option<(Arc<Journal>, u64)>) {
+        if self.sealed.load(Ordering::SeqCst) {
+            return ((CommandOutcome::sealed_for(&cmd), Vec::new()), None);
         }
-        state.lanes = lanes;
+        let out = self.apply_command(state, &cmd);
+        let seq = self.last_applied.load(Ordering::SeqCst) + 1;
+        self.last_applied.store(seq, Ordering::SeqCst);
+        let queued = state
+            .journal
+            .as_ref()
+            .filter(|journal| journal.append(seq, self.audit.seen(), cmd))
+            .map(|journal| (Arc::clone(journal), seq));
+        (out, queued)
     }
 
-    /// Assigns the next commit sequence to one applied batch entry, queues
-    /// its journal tuple (moving the command out of the batch), and stores
-    /// its result.
-    fn finish_entry(
-        &self,
-        entry: &mut BatchEntry,
-        out: Submitted,
-        journaling: bool,
-        result: &mut Option<Submitted>,
-        entries: &mut Vec<(u64, u64, Command)>,
-    ) {
-        let seq = self.next_seq();
-        if journaling {
-            let cmd = entry.1.take().expect("entry journaled once");
-            entries.push((seq, self.audit.seen(), cmd));
-        }
-        *result = Some(out);
-    }
-
-    /// Is this command eligible for the single-writer switch lanes? Only a
-    /// plain flow-mod call whose permission decision is a pure function of
-    /// the call itself (call-only plan, unregistered app, or checks
-    /// disabled) and whose app has no virtual topology qualifies; anything
-    /// else closes the run and applies serially. Returns the fully
-    /// precomputed plan so the run applier never re-decides. Side-effect
-    /// free: a run shorter than two discards its plan and the serial path
-    /// decides again.
-    fn lane_plan<'a>(&self, state: &State, cmd: &'a Command) -> Option<FlowLanePlan<'a>> {
-        let Command::Call(call) = cmd else {
-            return None;
-        };
-        let (dpid, flow_mod) = match &call.kind {
-            ApiCallKind::InsertFlow { dpid, flow_mod }
-            | ApiCallKind::DeleteFlow { dpid, flow_mod } => (*dpid, flow_mod),
-            _ => return None,
-        };
-        if state.registry.vtopos.contains_key(&call.app) {
-            return None;
-        }
-        // A stateful decision plan bails — the serial path decides those
-        // against the tracker.
-        let engine = self.checked_engine(&state.registry, call.app);
-        let decision = self.decide(engine, call, None)?;
-        let stamped = decision
-            .is_allowed()
-            .then(|| stamp_cookie(call.app, flow_mod));
-        Some(FlowLanePlan {
-            call,
-            dpid,
-            decision,
-            stamped,
-        })
-    }
-
-    /// Applies one lane-parallel run: switch mutations fan out to each
-    /// dpid's home lane (same-dpid order preserved by lane FIFO), then
-    /// ownership records, decision traces, audit records, and outcomes are
-    /// produced in the run's original commit order — byte-for-byte the
-    /// artifacts the serial path would have produced, in the same
-    /// per-command order. The RCU switch views touched by the run are
-    /// republished once at the end of the group instead of per op.
-    fn apply_flow_run(
-        &self,
-        state: &mut State,
-        pool: &LanePool,
-        plans: Vec<FlowLanePlan<'_>>,
-    ) -> Vec<Submitted> {
-        let n = plans.len();
-        self.combiner.lane_runs.fetch_add(1, Ordering::Relaxed);
-        // Phase 1: allowed mods dispatched to their home lanes.
-        let mut applied: Vec<Option<LaneApply>> = Vec::new();
-        applied.resize_with(n, || None);
-        let mut jobs = 0usize;
-        for (k, plan) in plans.iter().enumerate() {
-            if let Some(stamped) = plan.stamped.as_ref() {
-                pool.dispatch(k, plan.dpid, stamped.clone());
-                jobs += 1;
-            }
-        }
-        self.combiner
-            .lane_jobs
-            .fetch_add(jobs as u64, Ordering::Relaxed);
-        self.combiner
-            .max_lane_run
-            .fetch_max(jobs as u64, Ordering::Relaxed);
-        // Phase 2: barrier — collect every lane result for this run.
-        pool.collect(jobs, &mut applied);
-        // Phase 3a: ownership records for successful mods, in commit order.
-        let any_ok = applied.iter().any(|a| matches!(a, Some(Ok(_))));
-        if any_ok {
-            self.tracker_mut(state, |t| {
-                for (plan, outcome) in plans.iter().zip(&applied) {
-                    if let (Some(stamped), Some(Ok(_))) = (plan.stamped.as_ref(), outcome) {
-                        t.record_flow_mod(plan.call.app, plan.dpid, stamped);
-                    }
-                }
-            });
-        }
-        // Phase 3b: the shared admit and audit-outcome steps in commit
-        // order — exactly the trace and audit streams the serial path emits.
-        let mut outs = Vec::with_capacity(n);
-        let mut touched: Vec<DatapathId> = Vec::new();
-        for (plan, outcome) in plans.into_iter().zip(applied) {
-            let (call, op) = (plan.call, plan.call.kind.name());
-            if let Err(denied) = self.admit(call, op, "deputy", plan.decision) {
-                outs.push((CommandOutcome::Api(Err(denied)), Vec::new()));
-                continue;
-            }
-            let (result, events) = match outcome.expect("allowed plan was dispatched") {
-                Ok(removed) => {
-                    touched.push(plan.dpid);
-                    (Ok(ApiResponse::Unit), removed_events(plan.dpid, &removed))
-                }
-                Err(e) => (Err(ApiError::Switch(e)), Vec::new()),
-            };
-            self.audit_call_outcome(call, result.is_ok());
-            outs.push((CommandOutcome::Api(result), events));
-        }
-        // Batched RCU republish: one view rebuild per touched switch per
-        // drained group, so trailing readers don't each pay the rebuild.
-        touched.sort_unstable();
-        touched.dedup();
-        self.network.publish_views(touched);
-        outs
-    }
-
-    /// Configures the single-writer switch lanes (0 disables them). `pin`
-    /// additionally pins each lane thread to a core, best-effort.
-    pub fn set_switch_lanes(&self, lanes: usize, pin: bool) {
-        let pool = (lanes > 0).then(|| LanePool::new(Arc::clone(&self.network), lanes, pin));
-        let mut state = self.commit.lock();
-        state.lanes = pool;
-        self.combiner.lanes.store(lanes as u64, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the group-commit write pipeline's counters.
+    /// Snapshot of the write pipeline's counters.
     pub fn combiner_stats(&self) -> CombinerStats {
         let c = &self.combiner;
-        let mut batch_hist = [0u64; 8];
-        for (slot, counter) in batch_hist.iter_mut().zip(&c.batch_hist) {
-            *slot = counter.load(Ordering::Relaxed);
-        }
-        // Saturating: a drain racing this snapshot may be half-counted.
-        let submitted = c.submitted.load(Ordering::Relaxed);
-        batch_hist[0] = submitted.saturating_sub(c.batched.load(Ordering::Relaxed));
         CombinerStats {
-            submitted,
-            // Every non-empty drain lands in exactly one histogram bucket.
-            drains: batch_hist.iter().sum(),
+            submitted: c.submitted.load(Ordering::Relaxed),
+            writes: c.writes.load(Ordering::Relaxed),
             combined: c.combined.load(Ordering::Relaxed),
-            ring_fallbacks: c.ring_fallbacks.load(Ordering::Relaxed),
-            batch_hist,
-            // The counter only sees batches of two or more.
-            max_batch: c
-                .max_batch
-                .load(Ordering::Relaxed)
-                .max(batch_hist[0].min(1)),
-            ring_depth: self.submit_ring.len(),
-            ring_capacity: self.submit_ring.capacity(),
-            lane_jobs: c.lane_jobs.load(Ordering::Relaxed),
-            lane_runs: c.lane_runs.load(Ordering::Relaxed),
-            max_lane_run: c.max_lane_run.load(Ordering::Relaxed),
-            lanes: c.lanes.load(Ordering::Relaxed) as usize,
         }
     }
 
@@ -2173,19 +1572,23 @@ impl Kernel {
             state.host = HostSystem::restore(&snapshot.host);
             state.host_inbox = snapshot.host_inbox.iter().cloned().collect();
         }
-        // Seed audit numbering at the watermark of the last durable record
-        // (or the snapshot's, when the suffix is empty): replayed audit
-        // records extend the sequence from there under `replay:` tags, and
-        // pre-crash cursors resume without reading the renumbering as loss.
-        let suffix = journal.records_since(snapshot.last_seq);
-        let audit_watermark = suffix
-            .last()
-            .map_or(snapshot.audit_seq, |r| r.audit_seq_after);
-        kernel.audit.seed(audit_watermark);
         kernel
             .last_applied
             .store(snapshot.last_seq, Ordering::SeqCst);
-        kernel.replay_records(&suffix);
+        // The suffix is replayed in place, under the journal's lock: this
+        // kernel has no journal attached, so it never takes that lock itself.
+        journal.with_records_since(snapshot.last_seq, |suffix| {
+            // Seed audit numbering at the watermark of the last durable
+            // record (or the snapshot's, when the suffix is empty): replayed
+            // audit records extend the sequence from there under `replay:`
+            // tags, and pre-crash cursors resume without reading the
+            // renumbering as loss.
+            let audit_watermark = suffix
+                .last()
+                .map_or(snapshot.audit_seq, |r| r.audit_seq_after);
+            kernel.audit.seed(audit_watermark);
+            kernel.replay_records(suffix);
+        });
         kernel
     }
 

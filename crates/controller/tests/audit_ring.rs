@@ -326,11 +326,11 @@ fn promote_preserves_audit_trail_across_failover() {
 }
 
 /// The same exactly-once audit discipline, re-proved on the group-commit
-/// write pipeline (DESIGN.md §16): a journaled kernel with single-writer
-/// switch lanes forced on. The combiner audits each batched command in
-/// commit order with per-record watermarks, so a concurrent storm must
-/// still leave one gap-free record per executed call — forensics cannot
-/// tell a combined command from a serially-submitted one.
+/// write pipeline (DESIGN.md §16): a journaled kernel under a concurrent
+/// storm. Each command is audited in commit order with a per-record
+/// watermark, so the storm must still leave one gap-free record per
+/// executed call — forensics cannot tell a contended command from an
+/// uncontended one.
 #[test]
 fn group_commit_storm_audits_every_call_exactly_once() {
     const THREADS: usize = 4;
@@ -342,7 +342,6 @@ fn group_commit_storm_audits_every_call_exactly_once() {
     ));
     let journal = Arc::new(Journal::in_memory());
     kernel.attach_journal(Arc::clone(&journal));
-    kernel.set_switch_lanes(2, false);
     let apps: Vec<AppId> = (1..=THREADS as u16).map(AppId).collect();
     for app in &apps {
         kernel

@@ -412,9 +412,8 @@ fn mixed_throughput(
     (deputies * calls) as f64 / t.elapsed().as_secs_f64()
 }
 
-/// Builds the journaled, lane-enabled kernel the tier-2 mixed gate runs
-/// against: writes go through the flat-combining group commit with batched
-/// journal appends and single-writer switch lanes (DESIGN.md §16).
+/// Builds the journaled kernel the tier-2 mixed gate runs against: writes
+/// go through the production submit path (DESIGN.md §16).
 fn group_commit_kernel() -> (Arc<Kernel>, Vec<AppId>, Arc<Journal>) {
     // Switch 1 is shared; switches 2..=5 are the four deputies' own.
     let kernel = Arc::new(Kernel::new(
@@ -423,7 +422,6 @@ fn group_commit_kernel() -> (Arc<Kernel>, Vec<AppId>, Arc<Journal>) {
     ));
     let journal = Arc::new(Journal::in_memory());
     kernel.attach_journal(Arc::clone(&journal));
-    kernel.set_switch_lanes(4, false);
     let manifest = parse_manifest(
         "PERM insert_flow\nPERM delete_flow\nPERM read_flow_table\nPERM read_statistics",
     )
@@ -440,9 +438,8 @@ fn group_commit_kernel() -> (Arc<Kernel>, Vec<AppId>, Arc<Journal>) {
 /// Tier-2 (run explicitly with `cargo test -- --ignored` on a multi-core
 /// host) scaling gate for the *mixed* read/write workload, measured on the
 /// production write pipeline: a
-/// journaled kernel whose contended submits run the flat-combining group
-/// commit (batched journal appends, single-writer switch lanes) while the
-/// 3-in-8 read calls ride the lock-free RCU fast lane. This is the fig9
+/// journaled kernel whose contended submits serialize on the commit lock
+/// while the 3-in-8 read calls ride the lock-free RCU fast lane. This is the fig9
 /// `group_commit` series, and it must scale ≥1.5× from 1 to 4 deputies.
 /// Ignored by default — single-core CI cannot exhibit scaling.
 #[test]
@@ -467,7 +464,7 @@ fn mixed_workload_scales_1p5x_at_4_deputies() {
                 let cps = mixed_throughput(&kernel, &apps, deputies, calls, true);
                 journal.compact(journal.last_seq());
                 let stats = kernel.combiner_stats();
-                assert!(stats.submitted > 0, "writes route through the combiner");
+                assert!(stats.submitted > 0, "writes route through submit");
                 cps
             })
             .fold(f64::MIN, f64::max)

@@ -720,10 +720,10 @@ fn promote_loses_no_acknowledged_commands_under_concurrent_submitters() {
 }
 
 // ---------------------------------------------------------------------------
-// Group-commit write pipeline (DESIGN.md §16): the flat-combining submit
-// path with single-writer switch lanes must keep every recovery guarantee
-// the serial path had — the journal a concurrent storm leaves behind is a
-// linearization of that storm, and replaying it reproduces the live kernel.
+// Group-commit write pipeline (DESIGN.md §16): the submit path must keep
+// every recovery guarantee the serial path had — the journal a concurrent
+// storm leaves behind is a linearization of that storm, and replaying it
+// reproduces the live kernel.
 // ---------------------------------------------------------------------------
 
 /// Asserts the journal carries dense sequence numbers 1..=len — batched
@@ -735,52 +735,35 @@ fn assert_dense_seqs(journal: &Journal) {
     }
 }
 
-/// 8 submitters storm a journaled, lane-enabled kernel until the combiner
-/// has demonstrably exercised the lane pool (multi-entry drains are
-/// scheduling-dependent, so the storm repeats — bounded — until one lands).
-/// Whatever interleaving the scheduler produced, the journal must be a
-/// linearization: dense seqs, one record per acknowledged command, and a
-/// replay that is state-equal to the live kernel.
+/// 8 submitters storm a journaled kernel. Whatever interleaving the
+/// scheduler produced, the journal must be a linearization: dense seqs, one
+/// record per acknowledged command, and a replay that is state-equal to the
+/// live kernel.
 #[test]
 fn group_commit_journal_is_a_linearization_of_the_storm() {
     const THREADS: u64 = 8;
     const PER_THREAD: u64 = 250;
-    const MAX_ROUNDS: u64 = 5;
 
     let (live, journal) = journaled_kernel();
-    live.set_switch_lanes(2, false);
 
-    let mut rounds = 0;
-    while rounds < MAX_ROUNDS {
-        std::thread::scope(|s| {
-            for t in 0..THREADS {
-                let live = &live;
-                s.spawn(move || {
-                    for i in 0..PER_THREAD {
-                        let tp = ((rounds * THREADS + t) * PER_THREAD + i + 1) as u16;
-                        let dpid = t % 3 + 1;
-                        live.execute(&insert_call(PRIV, tp, 100, 0, dpid))
-                            .0
-                            .expect("storm insert acked");
-                    }
-                });
-            }
-        });
-        rounds += 1;
-        if live.combiner_stats().lane_runs > 0 {
-            break;
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let live = &live;
+            s.spawn(move || {
+                for i in 0..PER_THREAD {
+                    let tp = (t * PER_THREAD + i + 1) as u16;
+                    let dpid = t % 3 + 1;
+                    live.execute(&insert_call(PRIV, tp, 100, 0, dpid))
+                        .0
+                        .expect("storm insert acked");
+                }
+            });
         }
-    }
+    });
 
     let stats = live.combiner_stats();
-    assert!(
-        stats.lane_runs > 0,
-        "no multi-entry drain engaged the lane pool in {MAX_ROUNDS} rounds \
-         of {} contended submits each",
-        THREADS * PER_THREAD
-    );
     // 2 journaled registrations + every acknowledged insert, exactly once.
-    let total = 2 + rounds * THREADS * PER_THREAD;
+    let total = 2 + THREADS * PER_THREAD;
     assert_eq!(journal.len() as u64, total, "one record per command");
     assert_eq!(
         stats.submitted, total,
@@ -799,7 +782,7 @@ fn group_commit_journal_is_a_linearization_of_the_storm() {
     let installed: usize = (1u64..=3)
         .map(|d| recovered.flow_count(DatapathId(d)))
         .sum();
-    assert_eq!(installed as u64, rounds * THREADS * PER_THREAD);
+    assert_eq!(installed as u64, THREADS * PER_THREAD);
 }
 
 /// One concurrently-issued op for the differential proptest below.
@@ -833,11 +816,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Differential group-commit property: for arbitrary concurrent command
-    /// traces — four threads, each with its own generated op list, lanes
-    /// forced on — the batch-framed journal the storm leaves behind replays
-    /// to a kernel state-equal to the live one, with a dense record per
-    /// submitted command. Whatever order the combiner chose, it committed,
-    /// journaled, and acknowledged the *same* history.
+    /// traces — four threads, each with its own generated op list — the
+    /// journal the storm leaves behind replays to a kernel state-equal to
+    /// the live one, with a dense record per submitted command. Whatever
+    /// order the commit lock chose, the kernel committed, journaled, and
+    /// acknowledged the *same* history.
     #[test]
     fn concurrent_group_commit_replays_to_live_state(
         traces in proptest::collection::vec(
@@ -846,7 +829,6 @@ proptest! {
         ),
     ) {
         let (live, journal) = journaled_kernel();
-        live.set_switch_lanes(2, false);
         let total_ops: usize = traces.iter().map(Vec::len).sum();
         std::thread::scope(|s| {
             for (t, trace) in traces.iter().enumerate() {
@@ -869,13 +851,13 @@ proptest! {
     }
 }
 
-/// The promote-mid-storm ack guarantee, re-proved with the group-commit
-/// pipeline fully enabled on both the primary and the promoted kernel
-/// (`switch_lanes` in the controller config): sealing the old primary makes
-/// its combiner refuse whole batches *after* fulfilling every parked
-/// submitter, so no acknowledged command can be lost in the failover.
+/// The promote-mid-storm ack guarantee, re-proved on a controller built
+/// from an explicit [`ControllerConfig`]: sealing the old primary refuses
+/// every later command only *after* every acknowledged one is journaled,
+/// so no acknowledged command can be lost in the failover, and the journal
+/// stays dense across it.
 #[test]
-fn promote_with_lanes_loses_no_acknowledged_commands() {
+fn promote_with_controller_config_loses_no_acknowledged_commands() {
     const THREADS: u64 = 4;
     const PER_THREAD: u64 = 100;
 
@@ -883,7 +865,6 @@ fn promote_with_lanes_loses_no_acknowledged_commands() {
         Network::new(builders::linear(2), 16_384),
         ControllerConfig {
             num_deputies: 2,
-            switch_lanes: 2,
             ..ControllerConfig::default()
         },
     );

@@ -13,6 +13,7 @@
 //! quotas, packet-in provenance) come from a [`CheckContext`] the kernel
 //! maintains — so engines scale out across deputy threads (paper §IX-B2).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -779,6 +780,92 @@ struct RuleRecord {
     priority: Priority,
 }
 
+/// The exact identity OpenFlow gives a rule: Add-replace, `ModifyStrict`,
+/// `DeleteStrict` and expiry all name a rule by it.
+type RuleKey = (FlowMatch, Priority);
+
+/// One switch's rule records, in insertion order, plus an index from each
+/// rule's [`RuleKey`] to its position. Keys are unique, so every
+/// exact-identity operation is one index probe. A removal leaves a hole
+/// rather than shifting the tail; once holes outnumber live records the
+/// vector is compacted, which keeps the live records' relative order.
+#[derive(Debug, Default)]
+struct SwitchRules {
+    records: Vec<Option<RuleRecord>>,
+    index: HashMap<RuleKey, usize>,
+    live: usize,
+}
+
+impl SwitchRules {
+    /// The live records, in insertion order.
+    fn iter(&self) -> impl Iterator<Item = &RuleRecord> + '_ {
+        self.records.iter().flatten()
+    }
+
+    fn get(&self, flow_match: &FlowMatch, priority: Priority) -> Option<&RuleRecord> {
+        let &at = self.index.get(&(flow_match.clone(), priority))?;
+        self.records[at].as_ref()
+    }
+
+    /// Hands the rule `(flow_match, priority)` to `app`, appending it when
+    /// no such rule is recorded.
+    fn upsert(&mut self, app: AppId, flow_match: &FlowMatch, priority: Priority) {
+        match self.index.entry((flow_match.clone(), priority)) {
+            Entry::Occupied(at) => {
+                let record = self.records[*at.get()].as_mut();
+                record.expect("indexed record is live").app = app;
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(self.records.len());
+                self.records.push(Some(RuleRecord {
+                    app,
+                    flow_match: flow_match.clone(),
+                    priority,
+                }));
+                self.live += 1;
+            }
+        }
+    }
+
+    fn remove(&mut self, flow_match: &FlowMatch, priority: Priority) {
+        if let Some(at) = self.index.remove(&(flow_match.clone(), priority)) {
+            self.records[at] = None;
+            self.live -= 1;
+            self.compact_if_sparse();
+        }
+    }
+
+    /// Removes every live record `pred` selects (a scan: subsumption has no
+    /// index).
+    fn remove_where(&mut self, mut pred: impl FnMut(&RuleRecord) -> bool) {
+        for slot in &mut self.records {
+            if slot.as_ref().is_some_and(&mut pred) {
+                let r = slot.take().expect("checked live");
+                self.index.remove(&(r.flow_match, r.priority));
+                self.live -= 1;
+            }
+        }
+        self.compact_if_sparse();
+    }
+
+    /// Closes the holes once they outnumber the live records, so the
+    /// vector stays within twice the live count and compaction costs O(1)
+    /// amortized per removal.
+    fn compact_if_sparse(&mut self) {
+        if self.records.len() - self.live <= self.live {
+            return;
+        }
+        self.records.retain(Option::is_some);
+        for (at, r) in self.records.iter().enumerate() {
+            let r = r.as_ref().expect("retained records are live");
+            *self
+                .index
+                .get_mut(&(r.flow_match.clone(), r.priority))
+                .expect("live record is indexed") = at;
+        }
+    }
+}
+
 /// Kernel-side book-keeping backing the stateful filters: rule ownership,
 /// per-app rule quotas, and packet-in provenance (paper §IV-B "Ownership
 /// filter inspects and keeps track of the issuers of all the existing
@@ -786,7 +873,7 @@ struct RuleRecord {
 #[derive(Debug, Default)]
 pub struct OwnershipTracker {
     /// dpid → installed rules with owners.
-    rules: BTreeMap<DatapathId, Vec<RuleRecord>>,
+    rules: BTreeMap<DatapathId, SwitchRules>,
     /// Recent packet-in payload hashes delivered to each app.
     pkt_in_seen: HashMap<AppId, VecDeque<u64>>,
     /// How many packet-in hashes to remember per app.
@@ -819,32 +906,35 @@ impl OwnershipTracker {
         self.epoch = self.epoch.wrapping_add(1);
     }
 
-    /// Records a successful flow-mod by `app` on `dpid`.
+    /// Records a successful flow-mod by `app` on `dpid`, mirroring what the
+    /// switch's flow table did with it.
     pub fn record_flow_mod(&mut self, app: AppId, dpid: DatapathId, fm: &FlowMod) {
         self.bump_epoch();
         let rules = self.rules.entry(dpid).or_default();
         match fm.command {
-            FlowModCommand::Add | FlowModCommand::Modify | FlowModCommand::ModifyStrict => {
-                // Replace an identical own rule, else append.
-                if let Some(existing) = rules
-                    .iter_mut()
-                    .find(|r| r.flow_match == fm.flow_match && r.priority == fm.priority)
-                {
-                    existing.app = app;
-                } else {
-                    rules.push(RuleRecord {
-                        app,
-                        flow_match: fm.flow_match.clone(),
-                        priority: fm.priority,
-                    });
+            FlowModCommand::Add | FlowModCommand::ModifyStrict => {
+                // Replace an identical rule's owner, else append.
+                rules.upsert(app, &fm.flow_match, fm.priority);
+            }
+            FlowModCommand::Modify => {
+                // The table rewrote every entry the match subsumes, at any
+                // priority, stamping the modifier's cookie; with none, the
+                // modify acted as an add.
+                let mut modified = false;
+                for r in rules.records.iter_mut().flatten() {
+                    if fm.flow_match.subsumes(&r.flow_match) {
+                        r.app = app;
+                        modified = true;
+                    }
+                }
+                if !modified {
+                    rules.upsert(app, &fm.flow_match, fm.priority);
                 }
             }
             FlowModCommand::Delete => {
-                rules.retain(|r| !fm.flow_match.subsumes(&r.flow_match));
+                rules.remove_where(|r| fm.flow_match.subsumes(&r.flow_match));
             }
-            FlowModCommand::DeleteStrict => {
-                rules.retain(|r| !(r.priority == fm.priority && r.flow_match == fm.flow_match));
-            }
+            FlowModCommand::DeleteStrict => rules.remove(&fm.flow_match, fm.priority),
         }
     }
 
@@ -852,7 +942,7 @@ impl OwnershipTracker {
     pub fn record_expiry(&mut self, dpid: DatapathId, flow_match: &FlowMatch, priority: Priority) {
         self.bump_epoch();
         if let Some(rules) = self.rules.get_mut(&dpid) {
-            rules.retain(|r| !(r.priority == priority && &r.flow_match == flow_match));
+            rules.remove(flow_match, priority);
         }
     }
 
@@ -875,11 +965,10 @@ impl OwnershipTracker {
         flow_match: &FlowMatch,
         priority: Priority,
     ) -> bool {
-        self.rules.get(&dpid).is_some_and(|rules| {
-            rules
-                .iter()
-                .any(|r| r.app == app && r.priority == priority && &r.flow_match == flow_match)
-        })
+        self.rules
+            .get(&dpid)
+            .and_then(|rules| rules.get(flow_match, priority))
+            .is_some_and(|r| r.app == app)
     }
 
     /// Number of rules recorded for `(app, dpid)`.
@@ -892,9 +981,9 @@ impl OwnershipTracker {
 
     /// Captures the full tracker state in a plain-data form a durability
     /// layer can serialize and later hand back to
-    /// [`OwnershipTracker::restore`]. Rule records keep their in-vector
-    /// order (ownership replacement scans depend on it); packet-in windows
-    /// are sorted by app so two snapshots of identical state compare equal.
+    /// [`OwnershipTracker::restore`]. Rule records keep their insertion
+    /// order; packet-in windows are sorted by app so two snapshots of
+    /// identical state compare equal.
     pub fn snapshot(&self) -> TrackerSnapshot {
         let rules = self
             .rules
@@ -931,17 +1020,11 @@ impl OwnershipTracker {
                 .rules
                 .iter()
                 .map(|(dpid, records)| {
-                    (
-                        *dpid,
-                        records
-                            .iter()
-                            .map(|(app, flow_match, priority)| RuleRecord {
-                                app: *app,
-                                flow_match: flow_match.clone(),
-                                priority: *priority,
-                            })
-                            .collect(),
-                    )
+                    let mut rules = SwitchRules::default();
+                    for (app, flow_match, priority) in records {
+                        rules.upsert(*app, flow_match, *priority);
+                    }
+                    (*dpid, rules)
                 })
                 .collect(),
             pkt_in_seen: snapshot
@@ -991,29 +1074,48 @@ impl CheckContext for OwnershipTracker {
             // Reads are visibility-filtered by the kernel, not denied here.
             ApiCallKind::ReadFlowTable { .. } => false,
             ApiCallKind::InsertFlow { dpid, flow_mod } => {
+                let Some(rules) = self.rules.get(dpid) else {
+                    return false;
+                };
+                let foreign = |r: &RuleRecord| r.app != call.app;
+                match flow_mod.command {
+                    // A modify rewrites (and takes over) every rule it
+                    // names; naming none, it acts as an add.
+                    FlowModCommand::Modify => {
+                        let mut targets = rules
+                            .iter()
+                            .filter(|r| flow_mod.flow_match.subsumes(&r.flow_match))
+                            .peekable();
+                        if targets.peek().is_some() {
+                            return targets.any(foreign);
+                        }
+                    }
+                    FlowModCommand::ModifyStrict => {
+                        if let Some(r) = rules.get(&flow_mod.flow_match, flow_mod.priority) {
+                            return foreign(r);
+                        }
+                    }
+                    _ => {}
+                }
                 // Inserting a rule that could shadow a foreign rule counts
                 // as touching it: overlapping match at >= priority.
-                self.rules.get(dpid).is_some_and(|rules| {
-                    rules.iter().any(|r| {
-                        r.app != call.app
-                            && flow_mod.priority >= r.priority
-                            && flow_mod.flow_match.overlaps(&r.flow_match)
-                    })
+                rules.iter().any(|r| {
+                    foreign(r)
+                        && flow_mod.priority >= r.priority
+                        && flow_mod.flow_match.overlaps(&r.flow_match)
                 })
             }
             ApiCallKind::DeleteFlow { dpid, flow_mod } => {
-                self.rules.get(dpid).is_some_and(|rules| {
-                    rules.iter().any(|r| {
-                        r.app != call.app
-                            && match flow_mod.command {
-                                FlowModCommand::DeleteStrict => {
-                                    r.priority == flow_mod.priority
-                                        && r.flow_match == flow_mod.flow_match
-                                }
-                                _ => flow_mod.flow_match.subsumes(&r.flow_match),
-                            }
+                self.rules
+                    .get(dpid)
+                    .is_some_and(|rules| match flow_mod.command {
+                        FlowModCommand::DeleteStrict => rules
+                            .get(&flow_mod.flow_match, flow_mod.priority)
+                            .is_some_and(|r| r.app != call.app),
+                        _ => rules.iter().any(|r| {
+                            r.app != call.app && flow_mod.flow_match.subsumes(&r.flow_match)
+                        }),
                     })
-                })
             }
             _ => false,
         }

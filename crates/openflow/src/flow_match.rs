@@ -10,6 +10,7 @@
 //! space it was granted.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::packet::{EthPayload, EthernetFrame, IpPayload};
 use crate::types::{eth_type, EthAddr, Ipv4, PortNo};
@@ -107,7 +108,7 @@ impl fmt::Display for MaskedIpv4 {
 /// assert!(all.subsumes(&web));
 /// assert!(!web.subsumes(&all));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlowMatch {
     /// Ingress switch port.
     pub in_port: Exact<PortNo>,
@@ -133,6 +134,50 @@ pub struct FlowMatch {
     pub tp_src: Exact<u16>,
     /// TCP/UDP destination port.
     pub tp_dst: Exact<u16>,
+}
+
+/// Hashes six packed words instead of one write per field and per
+/// `Option` tag: a presence bitmap plus the field values, each absent field
+/// contributing zero. Equal matches pack to equal words, so this agrees
+/// with the derived `Eq`; the hasher itself stays the caller's (the kernel
+/// keeps std's keyed SipHash, since apps choose these keys).
+impl Hash for FlowMatch {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        fn bit<T>(field: &Option<T>, n: u32) -> u64 {
+            u64::from(field.is_some()) << n
+        }
+        fn ip(field: Option<MaskedIpv4>) -> u64 {
+            field.map_or(0, |m| (u64::from(m.addr.0) << 32) | u64::from(m.mask.0))
+        }
+        let present = bit(&self.in_port, 0)
+            | bit(&self.eth_src, 1)
+            | bit(&self.eth_dst, 2)
+            | bit(&self.eth_type, 3)
+            | bit(&self.vlan_id, 4)
+            | bit(&self.vlan_pcp, 5)
+            | bit(&self.ip_src, 6)
+            | bit(&self.ip_dst, 7)
+            | bit(&self.ip_proto, 8)
+            | bit(&self.ip_tos, 9)
+            | bit(&self.tp_src, 10)
+            | bit(&self.tp_dst, 11);
+        let in_port = u64::from(self.in_port.map_or(0, |p| p.0));
+        let eth_type = u64::from(self.eth_type.unwrap_or(0));
+        let vlan_id = u64::from(self.vlan_id.unwrap_or(0));
+        let eth_src = self.eth_src.map_or(0, EthAddr::to_u64);
+        let eth_dst = self.eth_dst.map_or(0, EthAddr::to_u64);
+        let vlan_pcp = u64::from(self.vlan_pcp.unwrap_or(0));
+        let ip_proto = u64::from(self.ip_proto.unwrap_or(0));
+        let ip_tos = u64::from(self.ip_tos.unwrap_or(0));
+        let tp_src = u64::from(self.tp_src.unwrap_or(0));
+        let tp_dst = u64::from(self.tp_dst.unwrap_or(0));
+        state.write_u64(present | in_port << 12 | eth_type << 28 | vlan_id << 44);
+        state.write_u64(eth_src | vlan_pcp << 48 | ip_proto << 56);
+        state.write_u64(eth_dst | ip_tos << 48);
+        state.write_u64(ip(self.ip_src));
+        state.write_u64(ip(self.ip_dst));
+        state.write_u64(tp_src | tp_dst << 16);
+    }
 }
 
 impl FlowMatch {

@@ -197,10 +197,13 @@ impl FlowTable {
             return Vec::new();
         }
         let mut removed = Vec::with_capacity(ids.len());
+        // Slots to unlink, grouped by priority: only those buckets change.
+        let mut gone: BTreeMap<Priority, Vec<usize>> = BTreeMap::new();
         for &(i, reason) in ids {
             let entry = self.slots[i].take().expect("removing occupied slot");
             self.index
                 .remove(&(entry.flow_match.clone(), entry.priority));
+            gone.entry(entry.priority).or_default().push(i);
             self.free.push(i);
             self.len -= 1;
             // Unshared entries move out for free; an entry still pinned by
@@ -208,11 +211,23 @@ impl FlowTable {
             let entry = Arc::try_unwrap(entry).unwrap_or_else(|shared| (*shared).clone());
             removed.push(RemovedEntry { entry, reason });
         }
-        let gone: std::collections::HashSet<usize> = ids.iter().map(|&(i, _)| i).collect();
-        self.buckets.retain(|_, v| {
-            v.retain(|i| !gone.contains(i));
-            !v.is_empty()
-        });
+        for (priority, mut slots) in gone {
+            let key = Reverse(priority);
+            let bucket = self
+                .buckets
+                .get_mut(&key)
+                .expect("removed entry was bucketed");
+            if let [slot] = slots[..] {
+                let at = bucket.iter().position(|&i| i == slot);
+                bucket.remove(at.expect("removed slot was bucketed"));
+            } else {
+                slots.sort_unstable();
+                bucket.retain(|i| slots.binary_search(i).is_err());
+            }
+            if bucket.is_empty() {
+                self.buckets.remove(&key);
+            }
+        }
         removed
     }
 

@@ -138,6 +138,10 @@ impl NaiveTable {
         removed
     }
 
+    fn remove_owned_by(&mut self, owner: u16) -> Vec<RemovedEntry> {
+        self.remove_where(|e| e.cookie.owner() == owner, |_| FlowRemovedReason::Delete)
+    }
+
     fn expire(&mut self, now: u64) -> Vec<RemovedEntry> {
         self.remove_where(
             |e| {
@@ -179,6 +183,7 @@ enum Step {
     Advance(u64),
     Expire,
     Lookup { in_port: u16, tp_dst: u16 },
+    RemoveOwnedBy(u16),
 }
 
 /// A deliberately small match universe so randomized sequences actually
@@ -197,7 +202,7 @@ fn small_match(sel: u8, tp: u16) -> FlowMatch {
 
 fn arb_step() -> impl Strategy<Value = Step> {
     (
-        0u8..8,  // command selector (weighted toward mods)
+        0u8..9,  // command selector (weighted toward mods)
         0u8..4,  // match shape
         0u16..4, // tp / ip discriminator
         0u8..3,  // priority selector
@@ -207,6 +212,7 @@ fn arb_step() -> impl Strategy<Value = Step> {
         1u64..4, // clock advance
     )
         .prop_map(|(cmd, shape, tp, prio, port, idle, hard, secs)| match cmd {
+            8 => Step::RemoveOwnedBy(1 + port % 3),
             6 => Step::Advance(secs),
             7 => Step::Expire,
             5 => Step::Lookup {
@@ -272,6 +278,11 @@ proptest! {
                     let a = indexed.expire(now);
                     let b = naive.expire(now);
                     prop_assert_eq!(&a, &b, "expire diverged at t={}", now);
+                }
+                Step::RemoveOwnedBy(owner) => {
+                    let a = indexed.remove_owned_by(*owner);
+                    let b = naive.remove_owned_by(*owner);
+                    prop_assert_eq!(&a, &b, "remove_owned_by diverged on {}", owner);
                 }
                 Step::Lookup { in_port, tp_dst } => {
                     let frame = probe_frame(*tp_dst);

@@ -1,6 +1,9 @@
 //! Property-based tests for the flow-match subsumption algebra and the wire
 //! codec — the invariants SDNShield's permission comparison relies on.
 
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+
 use bytes::Bytes;
 use proptest::prelude::*;
 use sdnshield_openflow::actions::{Action, ActionList};
@@ -48,6 +51,31 @@ fn arb_match() -> impl Strategy<Value = FlowMatch> {
         )
 }
 
+/// A match whose every field is absent (`0`), zero (`1`) or one (`2`).
+fn tiny_match(f: &[u8]) -> FlowMatch {
+    let v = |i: usize| f[i].checked_sub(1);
+    FlowMatch {
+        in_port: v(0).map(|x| PortNo(x.into())),
+        eth_src: v(1).map(|x| EthAddr::from_u64(x.into())),
+        eth_dst: v(2).map(|x| EthAddr::from_u64(x.into())),
+        eth_type: v(3).map(u16::from),
+        vlan_id: v(4).map(u16::from),
+        vlan_pcp: v(5),
+        ip_src: v(6).map(|x| MaskedIpv4::exact(Ipv4(x.into()))),
+        ip_dst: v(7).map(|x| MaskedIpv4::prefix(Ipv4(x.into()), 8 * x)),
+        ip_proto: v(8),
+        ip_tos: v(9),
+        tp_src: v(10).map(u16::from),
+        tp_dst: v(11).map(u16::from),
+    }
+}
+
+fn hash_of(m: &FlowMatch) -> u64 {
+    let mut h = DefaultHasher::new();
+    m.hash(&mut h);
+    h.finish()
+}
+
 fn arb_frame() -> impl Strategy<Value = (PortNo, EthernetFrame)> {
     (
         0u16..16,
@@ -77,6 +105,31 @@ fn arb_frame() -> impl Strategy<Value = (PortNo, EthernetFrame)> {
 
 proptest! {
     /// Subsumption is reflexive.
+    /// The packed `Hash` agrees with `Eq`, and `None` against `Some(0)`
+    /// stays two distinct matches with (presence bits) distinct hashes.
+    #[test]
+    fn packed_hash_agrees_with_eq(
+        f in proptest::collection::vec(0u8..3, 12..13),
+        flip in proptest::option::of(0usize..12),
+        field in 0usize..12,
+    ) {
+        let mut g = f.clone();
+        if let Some(i) = flip {
+            g[i] = (g[i] + 1) % 3;
+        }
+        let (a, b) = (tiny_match(&f), tiny_match(&g));
+        prop_assert_eq!(a == b, flip.is_none());
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+        }
+        let (mut absent, mut zero) = (f.clone(), f);
+        absent[field] = 0;
+        zero[field] = 1;
+        let (absent, zero) = (tiny_match(&absent), tiny_match(&zero));
+        prop_assert_ne!(&absent, &zero);
+        prop_assert_ne!(hash_of(&absent), hash_of(&zero));
+    }
+
     #[test]
     fn subsumes_reflexive(m in arb_match()) {
         prop_assert!(m.subsumes(&m));

@@ -228,6 +228,11 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
+    /// Empties the builder, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.data.clear();
+    }
+
     /// Splits off and returns the first `at` bytes; `self` keeps the rest.
     ///
     /// # Panics
