@@ -9,37 +9,63 @@
 //!
 //! `len` counts payload bytes; `crc32` (IEEE, reflected, poly `0xEDB88320`)
 //! covers the payload. [`Journal::open`] validates frames front to back and
-//! truncates the file at the first incomplete or corrupt frame — a torn
-//! tail from a crash mid-write is discarded cleanly, never half-decoded.
+//! truncates the file at the first incomplete, corrupt or zero-length
+//! frame — a torn tail from a crash mid-write is discarded cleanly, never
+//! half-decoded.
 //!
-//! Group commit (DESIGN.md §16): a file-backed journal with no fault armed
-//! does not write under the kernel's commit lock. The lock holder only
-//! queues its record ([`Journal::append`] returns `true`), in commit order;
-//! after dropping the lock the submitter calls [`Journal::sync`]. The first
-//! waiter writes everything queued with one `write_all`, and every later
-//! waiter whose record that write covered returns at once. No submit
-//! returns before its own record is written, and every reader
-//! ([`Journal::records_since`], [`Journal::trace`], ...) writes the queue
-//! out first. With a fault armed, appends take the synchronous per-record
-//! path, so injected byte offsets do not depend on timing.
+//! Group commit (DESIGN.md §16): a file-backed journal does not write under
+//! the kernel's commit lock. The lock holder only queues its record
+//! ([`Journal::append`] returns `true`), in commit order; after dropping the
+//! lock the submitter calls [`Journal::sync`]. The first waiter writes
+//! everything queued in one go, and every later waiter whose record that
+//! write covered returns at once. No submit returns before its own record
+//! is written, and every reader ([`Journal::records_since`],
+//! [`Journal::trace`], ...) writes the queue out first. An in-memory
+//! journal has nothing to write: its appends push the record directly.
 //!
-//! Accepted relaxation (DESIGN.md §12): appends reach the OS via buffered
-//! `write` without `fsync`, so the durability boundary is process crash,
-//! not power loss. The simulated testbed only ever kills processes.
+//! The write-out makes no system call per group: it copies the encoded
+//! frames into a `MAP_SHARED` window of the file ([`affinity::MappedWindow`],
+//! [`WINDOW`] bytes, mapped on the first store), whose disk blocks are
+//! allocated ahead of the cursor with `posix_fallocate`. A group that runs
+//! past the window's end rolls to the next window — unmap, allocate, map —
+//! so a frame may straddle two windows, and the mapping never holds more
+//! than one window of resident pages. While a journal is live its file is
+//! the valid frames plus a zeroed, preallocated tail; dropping the journal
+//! unmaps the window and cuts the tail off. After a crash the zero tail
+//! stays, and [`Journal::open`] reads its first zero length as the end of
+//! the log. Hazard: a store past the end of the file kills the process
+//! (`SIGBUS`), so only the live journal may shrink its file — reopening a
+//! live journal's file (which truncates it) is supported only once the
+//! journal has been sealed ([`crate::kernel::Kernel::seal`]) and will not
+//! append again. The mappings exist on 64-bit Linux only; elsewhere a
+//! file-backed journal panics on its first write-out, as it does on any
+//! failure to store.
+//!
+//! Accepted relaxation (DESIGN.md §12): stored frames sit in the page cache
+//! without `msync`/`fsync`, like a buffered `write(2)`, so the durability
+//! boundary is process crash, not power loss. The simulated testbed only
+//! ever kills processes.
 //!
 //! Fault injection for the supervision test matrix lives here too:
 //! [`JournalFaults`] arms torn writes at a byte offset, CRC corruption on a
 //! chosen record, and a crash between apply and append.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use affinity::MappedWindow;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::command::{decode_command, encode_command, Command};
+
+/// Bytes of the journal file mapped at a time. One window bounds the
+/// resident pages the mapping adds to the process (shared file pages count
+/// toward its RSS) while amortizing an unmap, allocate and map over about
+/// 15 000 typical records.
+const WINDOW: u64 = 1 << 20;
 
 /// One committed command with its journal position and the audit watermark
 /// observed immediately after it committed (recovery seeds the audit log
@@ -58,7 +84,9 @@ pub struct JournalRecord {
 /// Injected journal failures, armed via [`Journal::arm_faults`] (usually
 /// through [`crate::fault::FaultPlan`]). Each fires at most once; after a
 /// torn write or skipped append the journal marks itself dead and ignores
-/// further appends, modeling the process dying at that instant.
+/// further appends, modeling the process dying at that instant. Torn
+/// writes and CRC corruption act on the file, so an in-memory journal
+/// ignores them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JournalFaults {
     /// Tear the frame that crosses this file byte offset: only the prefix
@@ -80,27 +108,59 @@ impl JournalFaults {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), table-driven.
-fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
+/// Slicing-by-8 tables for the reflected IEEE polynomial: `CRC_TABLES[0]`
+/// is the classic byte-at-a-time table, `CRC_TABLES[k][b]` the CRC of byte
+/// `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    });
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected, polynomial `0xEDB88320`), eight bytes per
+/// step (slicing-by-8), the tail byte by byte.
+fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc = table[((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = t[0][((crc ^ byte as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -111,12 +171,54 @@ struct JournalState {
     records: Vec<JournalRecord>,
     /// Backing file, absent for purely in-memory journals.
     file: Option<File>,
-    /// Bytes written to the file so far.
+    /// Bytes of frames stored in the file so far (a torn frame's prefix
+    /// included): where the next frame goes, and the file's length once
+    /// the journal drops.
     file_len: u64,
-    /// Armed fault injections.
+    /// The mapped window of `file` that stores go through, with its file
+    /// offset (a multiple of [`WINDOW`]); mapped on the first store.
+    window: Option<(MappedWindow, u64)>,
+    /// Armed torn-write and CRC faults, applied by the write-out. The
+    /// apply/append crash is read from [`Journal::crash_before_append`].
     faults: JournalFaults,
     /// Frame buffer reused by every queue write-out.
     frames: BytesMut,
+}
+
+impl JournalState {
+    /// Stores `frames` at `file_len` through the mapped window, rolling to
+    /// the next window whenever they run past the current one's end.
+    fn store_frames(&mut self) -> io::Result<()> {
+        let JournalState {
+            file: Some(file),
+            file_len,
+            window,
+            frames,
+            ..
+        } = self
+        else {
+            return Ok(());
+        };
+        let mut bytes = &frames[..];
+        while !bytes.is_empty() {
+            let base = *file_len - *file_len % WINDOW;
+            let mapped = match window {
+                Some((mapped, at)) if *at == base => mapped,
+                _ => {
+                    *window = None; // unmap before the next window maps
+                    affinity::fallocate(file, base, WINDOW)?;
+                    let mapped = MappedWindow::map(file, base, WINDOW as usize)?;
+                    &mut window.insert((mapped, base)).0
+                }
+            };
+            let off = (*file_len - base) as usize;
+            let n = bytes.len().min(WINDOW as usize - off);
+            mapped.bytes_mut()[off..off + n].copy_from_slice(&bytes[..n]);
+            *file_len += n as u64;
+            bytes = &bytes[n..];
+        }
+        Ok(())
+    }
 }
 
 /// The append-only command log. Thread-safe; one instance is shared by the
@@ -130,10 +232,12 @@ pub struct Journal {
     queue: Mutex<Vec<JournalRecord>>,
     /// Highest sequence the queue write-outs have covered.
     written: AtomicU64,
-    /// Queue appends (file-backed and no fault armed) rather than write
-    /// them under the caller's lock.
-    grouped: AtomicBool,
-    /// Where the backing file lives, for diagnostics.
+    /// Sequence of the record an armed apply/append crash skips (0: none).
+    /// Read by [`Journal::append`] under the kernel's commit lock, which
+    /// must not wait for `state`.
+    crash_before_append: AtomicU64,
+    /// The backing file's path: `Some` exactly when the journal is
+    /// file-backed.
     path: Option<PathBuf>,
     /// Set once an injected fault has "killed" the journaling process;
     /// subsequent appends are dropped silently, as a dead process would.
@@ -141,21 +245,26 @@ pub struct Journal {
 }
 
 impl Journal {
-    fn with_state(records: Vec<JournalRecord>, file: Option<File>, file_len: u64) -> Journal {
-        let grouped = file.is_some();
+    fn with_state(
+        records: Vec<JournalRecord>,
+        file: Option<File>,
+        file_len: u64,
+        path: Option<PathBuf>,
+    ) -> Journal {
         let written = records.last().map_or(0, |r| r.seq);
         Journal {
             state: Mutex::new(JournalState {
                 records,
                 file,
                 file_len,
+                window: None,
                 faults: JournalFaults::default(),
                 frames: BytesMut::new(),
             }),
             queue: Mutex::new(Vec::new()),
             written: AtomicU64::new(written),
-            grouped: AtomicBool::new(grouped),
-            path: None,
+            crash_before_append: AtomicU64::new(0),
+            path,
             dead: AtomicBool::new(false),
         }
     }
@@ -164,7 +273,7 @@ impl Journal {
     /// only. This is the warm-standby / record-replay configuration and
     /// the cheapest way to measure the journaling hot-path tax.
     pub fn in_memory() -> Journal {
-        Journal::with_state(Vec::new(), None, 0)
+        Journal::with_state(Vec::new(), None, 0, None)
     }
 
     /// An in-memory journal seeded with an already-captured trace — the
@@ -172,12 +281,13 @@ impl Journal {
     /// run's [`Journal::trace`]) to [`crate::kernel::Kernel::recover`] or a
     /// warm standby.
     pub fn from_trace(records: Vec<JournalRecord>) -> Journal {
-        Journal::with_state(records, None, 0)
+        Journal::with_state(records, None, 0, None)
     }
 
     /// Opens (or creates) a file-backed journal, validating every frame and
-    /// truncating the file at the first incomplete or corrupt one. The
-    /// surviving records are loaded into memory; appends continue after
+    /// truncating the file at the first incomplete, corrupt or zero-length
+    /// one (a crashed journal's preallocated tail reads as zero lengths).
+    /// The surviving records are loaded into memory; appends continue after
     /// them.
     ///
     /// # Errors
@@ -206,6 +316,9 @@ impl Journal {
             let mut header = b.clone();
             let len = header.get_u32() as usize;
             let crc = header.get_u32();
+            if len == 0 {
+                break; // no frame is empty: the zeroed preallocated tail
+            }
             if header.len() < len {
                 break; // incomplete payload: torn tail
             }
@@ -222,11 +335,12 @@ impl Journal {
         }
 
         file.set_len(valid_len)?;
-        file.seek(SeekFrom::End(0))?;
-        Ok(Journal {
-            path: Some(path),
-            ..Journal::with_state(records, Some(file), valid_len)
-        })
+        Ok(Journal::with_state(
+            records,
+            Some(file),
+            valid_len,
+            Some(path),
+        ))
     }
 
     /// The backing file path, if file-backed.
@@ -234,14 +348,23 @@ impl Journal {
         self.path.as_deref()
     }
 
+    /// Bytes of frames written to the backing file so far (0 in memory):
+    /// the file's length once the journal drops. While the journal is live
+    /// the file is longer, by its preallocated tail.
+    pub fn file_len(&self) -> u64 {
+        self.written_out().file_len
+    }
+
     /// Arms injected journal faults (each fires at most once). Writes the
-    /// queue out first: from here on appends take the synchronous
-    /// per-record path.
+    /// queue out first, so the faults act only on records committed after
+    /// this call.
     pub fn arm_faults(&self, faults: JournalFaults) {
         let mut state = self.written_out();
+        self.crash_before_append.store(
+            faults.crash_before_append_on_record.unwrap_or(0),
+            Ordering::SeqCst,
+        );
         state.faults = faults;
-        self.grouped
-            .store(state.file.is_some() && faults.is_none(), Ordering::SeqCst);
     }
 
     /// True once an injected fault has "killed" the journaling process.
@@ -259,28 +382,39 @@ impl Journal {
         if self.is_dead() {
             return false;
         }
+        if self.crash_before_append.load(Ordering::SeqCst) == seq {
+            // Only the commit-lock holder appends, so no other append can
+            // fire this fault between the load and the store.
+            self.crash_before_append.store(0, Ordering::SeqCst);
+            self.dead.store(true, Ordering::SeqCst);
+            return false; // applied but never journaled: the crash window
+        }
         let record = JournalRecord {
             seq,
             audit_seq_after,
             cmd,
         };
-        if self.grouped.load(Ordering::SeqCst) {
-            self.queue.lock().unwrap().push(record);
-            return true;
+        if self.path.is_none() {
+            // In-memory hot path: with no file to reopen, the frame (length,
+            // CRC, encoded command) would never be read — skip it. This
+            // keeps the journal tax on the mediation hot path to a push.
+            self.state.lock().unwrap().records.push(record);
+            return false;
         }
-        let mut state = self.state.lock().unwrap();
-        if state.file.is_some() {
-            // Anything queued before a fault was armed goes first.
-            self.write_queue(&mut state);
+        let mut queue = self.queue.lock().unwrap();
+        // A torn write-out kills the journal under this lock, so no record
+        // queues behind the torn one.
+        if self.is_dead() {
+            return false;
         }
-        self.append_locked(&mut state, record);
-        false
+        queue.push(record);
+        true
     }
 
     /// Waits until the record with sequence `seq` is written. The first
-    /// waiter writes everything queued with one `write_all`; a waiter whose
-    /// record an earlier write covered returns at once. Returns how many
-    /// records this call wrote (0: another caller's write covered `seq`).
+    /// waiter writes everything queued in one go; a waiter whose record an
+    /// earlier write covered returns at once. Returns how many records this
+    /// call wrote (0: another caller's write covered `seq`).
     pub(crate) fn sync(&self, seq: u64) -> usize {
         if self.written.load(Ordering::Acquire) >= seq {
             return 0;
@@ -300,83 +434,50 @@ impl Journal {
         state
     }
 
-    /// Writes every queued record with one `write_all` and moves them to
-    /// `records`. Returns how many it wrote.
+    /// Moves every queued record to `records` and stores their frames in
+    /// the file, one copy per window, applying armed faults frame by frame: a
+    /// corrupt-CRC record's frame is encoded with a flipped CRC; at a tear
+    /// only the frame prefix up to the torn byte is stored, the journal
+    /// dies, and the torn record and the rest of the group leave `records`.
+    /// Returns how many records it wrote.
     fn write_queue(&self, state: &mut JournalState) -> usize {
         let from = state.records.len();
         state.records.append(&mut self.queue.lock().unwrap());
-        let written = &state.records[from..];
-        let Some(last) = written.last().map(|r| r.seq) else {
+        let Some(last) = state.records[from..].last().map(|r| r.seq) else {
             return 0;
         };
         state.frames.clear();
-        for record in written {
-            encode_frame(record, None, &mut state.frames);
-        }
-        if let Some(file) = state.file.as_mut() {
-            file.write_all(&state.frames)
-                .expect("journal append failed: backing file unwritable");
-        }
-        state.file_len += state.frames.len() as u64;
-        self.written.store(last, Ordering::Release);
-        written.len()
-    }
-
-    /// The synchronous single-record append: in memory, or with a fault
-    /// armed. Marks the journal dead when an injected fault kills it.
-    fn append_locked(&self, state: &mut JournalState, record: JournalRecord) {
-        let seq = record.seq;
-        if state.faults.crash_before_append_on_record == Some(seq) {
-            state.faults.crash_before_append_on_record = None;
-            self.dead.store(true, Ordering::SeqCst);
-            return; // applied but never journaled: the crash window
-        }
-
-        // In-memory hot path: with no backing file and no armed faults the
-        // frame (length, CRC, encoded command) exists only to survive a
-        // reopen, which can never happen — skip it. This keeps the journal
-        // tax on the mediation hot path to a clone and a push.
-        if state.file.is_none() && state.faults.is_none() {
-            state.records.push(record);
-            return;
-        }
-
-        let corrupt = if state.faults.corrupt_crc_on_record == Some(seq) {
-            state.faults.corrupt_crc_on_record = None;
-            true
-        } else {
-            false
-        };
-        state.frames.clear();
-        encode_frame(&record, corrupt.then_some(0xFF), &mut state.frames);
-        let JournalState {
-            file,
-            file_len,
-            frames,
-            faults,
-            records,
-        } = state;
-
-        if let Some(tear_at) = faults.torn_write_at_byte {
-            let end = *file_len + frames.len() as u64;
-            if end > tear_at {
-                faults.torn_write_at_byte = None;
-                let keep = tear_at.saturating_sub(*file_len) as usize;
-                if let Some(file) = file.as_mut() {
-                    let _ = file.write_all(&frames[..keep]);
-                }
-                self.dead.store(true, Ordering::SeqCst);
-                return; // process died mid-write; record never committed
+        let mut kept = state.records.len();
+        for (i, record) in state.records[from..].iter().enumerate() {
+            let corrupt = state.faults.corrupt_crc_on_record == Some(record.seq);
+            if corrupt {
+                state.faults.corrupt_crc_on_record = None;
+            }
+            let start = state.frames.len();
+            encode_frame(record, corrupt.then_some(0xFF), &mut state.frames);
+            let end = state.file_len + state.frames.len() as u64;
+            if let Some(tear_at) = state.faults.torn_write_at_byte.filter(|&at| end > at) {
+                state.faults.torn_write_at_byte = None;
+                // `tear_at < end`, so the kept prefix fits in `frames`.
+                let keep = tear_at.saturating_sub(state.file_len) as usize;
+                state.frames.truncate(keep.max(start));
+                kept = from + i;
+                break;
             }
         }
-
-        if let Some(file) = file.as_mut() {
-            file.write_all(frames)
-                .expect("journal append failed: backing file unwritable");
+        state
+            .store_frames()
+            .expect("journal append failed: backing file unwritable");
+        if kept < state.records.len() {
+            // The process died mid-write: the torn record and everything
+            // queued after it never committed.
+            let mut queue = self.queue.lock().unwrap();
+            self.dead.store(true, Ordering::SeqCst);
+            queue.clear();
+            state.records.truncate(kept);
         }
-        *file_len += frames.len() as u64;
-        records.push(record);
-        self.written.store(seq, Ordering::Release);
+        self.written.store(last, Ordering::Release);
+        kept - from
     }
 
     /// Runs `f` over the records with `seq > since`, in order, in place —
@@ -441,6 +542,19 @@ impl std::fmt::Debug for Journal {
             .field("path", &self.path)
             .field("dead", &self.is_dead())
             .finish()
+    }
+}
+
+impl Drop for Journal {
+    /// Unmaps the window, then cuts the preallocated tail off, so a closed
+    /// journal's file is exactly its frames. Best effort: a failure leaves
+    /// a zero tail, which [`Journal::open`] reads as the end of the log.
+    fn drop(&mut self) {
+        let state = self.state.get_mut().unwrap_or_else(PoisonError::into_inner);
+        state.window = None;
+        if let Some(file) = &state.file {
+            let _ = file.set_len(state.file_len);
+        }
     }
 }
 
@@ -524,11 +638,36 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time CRC-32 the slicing-by-8 tables must agree with.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // The canonical IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn crc32_slicing_matches_bytewise_reference(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..301),
+        ) {
+            proptest::prop_assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
     }
 
     #[test]
@@ -630,7 +769,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let j = Journal::open(&path).unwrap();
         append(&j, 1, 1, cmd(1));
-        let first_frame_len = std::fs::metadata(&path).unwrap().len();
+        let first_frame_len = j.file_len();
         j.arm_faults(JournalFaults {
             torn_write_at_byte: Some(first_frame_len + 3),
             ..JournalFaults::default()
@@ -711,11 +850,11 @@ mod tests {
             append(&j, 1, 1, cmd(1));
             // Every AdvanceClock record has the same frame length, so the
             // file length after one append doubles as the frame size.
-            prefix_len = std::fs::metadata(&path).unwrap().len();
+            prefix_len = j.file_len();
             let frame_len = prefix_len;
-            // Tear inside the SECOND record of the group: the batch path
-            // must fall back to per-record framing so the tear lands at
-            // the same byte offset a serial append would produce.
+            // Tear inside the SECOND record of the group: the write-out
+            // applies the tear frame by frame, so it lands at the same
+            // byte offset a serial append would produce.
             j.arm_faults(JournalFaults {
                 torn_write_at_byte: Some(prefix_len + frame_len + frame_len / 2),
                 ..JournalFaults::default()
@@ -754,5 +893,119 @@ mod tests {
         // Dead journals swallow batches silently, same as append().
         append_group(&j, vec![(5, 5, cmd(5))]);
         assert_eq!(j.last_seq(), 2);
+    }
+
+    /// Every frame `records` encode to, back to back: the bytes a closed
+    /// journal holding them must consist of.
+    fn frames_of(records: &[JournalRecord]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        for r in records {
+            encode_frame(r, None, &mut out);
+        }
+        out.to_vec()
+    }
+
+    #[test]
+    fn crash_leaves_a_zero_tail_that_reopen_cuts_off() {
+        let crashed_path = tmp("zero-tail");
+        let clean_path = tmp("zero-tail-clean");
+        let _ = std::fs::remove_file(&crashed_path);
+        let _ = std::fs::remove_file(&clean_path);
+        let j = Journal::open(&crashed_path).unwrap();
+        for i in 1..=5 {
+            append(&j, i, i, cmd(i));
+        }
+        let written = j.file_len();
+        // Die without Drop: the window stays mapped and the tail stays.
+        std::mem::forget(j);
+        let on_disk = std::fs::metadata(&crashed_path).unwrap().len();
+        assert!(on_disk > written, "preallocated tail left by the crash");
+
+        let j = Journal::open(&crashed_path).unwrap();
+        let seqs: Vec<u64> = j.trace().iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3, 4, 5], "dense, nothing from the tail");
+        assert_eq!(std::fs::metadata(&crashed_path).unwrap().len(), written);
+        for i in 6..=8 {
+            append(&j, i, i, cmd(i));
+        }
+        drop(j);
+
+        let clean = Journal::open(&clean_path).unwrap();
+        for i in 1..=8 {
+            append(&clean, i, i, cmd(i));
+        }
+        drop(clean);
+        assert_eq!(
+            std::fs::read(&crashed_path).unwrap(),
+            std::fs::read(&clean_path).unwrap(),
+            "a crash and reopen leave no trace in the bytes"
+        );
+        std::fs::remove_file(&crashed_path).unwrap();
+        std::fs::remove_file(&clean_path).unwrap();
+    }
+
+    #[test]
+    fn frames_straddling_window_boundaries_reopen_dense() {
+        let path = tmp("windows");
+        let _ = std::fs::remove_file(&path);
+        // ~60 KB frames: 2.5 windows' worth, some straddling a boundary.
+        let big = |seq: u64| Command::RegisterApp {
+            app: AppId(seq as u16),
+            name: format!("app{seq}"),
+            manifest: "x".repeat(60_000 + seq as usize),
+        };
+        let mut expected = Vec::new();
+        {
+            let j = Journal::open(&path).unwrap();
+            // Single appends, then one group that crosses a boundary in a
+            // single write-out.
+            for seq in 1..=30 {
+                append(&j, seq, seq, big(seq));
+            }
+            append_group(&j, (31..=45).map(|seq| (seq, seq, big(seq))).collect());
+            assert!(j.file_len() > 2 * WINDOW);
+            expected.extend(j.trace());
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes, frames_of(&expected), "frames stored contiguously");
+        let reopened = Journal::open(&path).unwrap();
+        assert_eq!(reopened.trace(), expected);
+        drop(reopened);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn dropped_journal_file_is_exactly_its_frames() {
+        let path = tmp("drop-len");
+        let _ = std::fs::remove_file(&path);
+        let j = Journal::open(&path).unwrap();
+        for i in 1..=3 {
+            append(&j, i, i, cmd(i));
+        }
+        let written = j.file_len();
+        assert_eq!(written, frames_of(&j.trace()).len() as u64);
+        drop(j);
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), written);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn reopening_a_sealed_live_journal_is_safe() {
+        let path = tmp("sealed-live");
+        let _ = std::fs::remove_file(&path);
+        let live = Journal::open(&path).unwrap();
+        append_group(&live, (1..=4).map(|i| (i, i, cmd(i))).collect());
+        // What `Kernel::seal` ends with: every queued record on file.
+        live.flush();
+        let expected = live.trace();
+        // The reopen truncates the live journal's preallocated tail ...
+        let reader = Journal::open(&path).unwrap();
+        assert_eq!(reader.trace(), expected);
+        drop(reader);
+        // ... and dropping the live journal afterwards neither faults nor
+        // changes the records.
+        drop(live);
+        assert_eq!(Journal::open(&path).unwrap().trace(), expected);
+        std::fs::remove_file(&path).unwrap();
     }
 }

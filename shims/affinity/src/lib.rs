@@ -1,17 +1,25 @@
 //! The workspace's one libc-FFI shim: best-effort CPU pinning
-//! (`sched_setaffinity`) and readiness waits (`poll(2)`).
+//! (`sched_setaffinity`), readiness waits (`poll(2)`), and shared file
+//! mappings (`mmap`, `munmap`, `posix_fallocate`) for the command journal.
 //!
 //! The workspace is `#![forbid(unsafe_code)]` outside the shims; this crate
-//! owns the FFI calls that core-pinned deputy shards and the southbound
-//! reactor need. libc is already linked by std, so no new dependency is
-//! introduced.
+//! owns the FFI calls that core-pinned deputy shards, the southbound
+//! reactor and the file-backed journal need, each behind a safe API that
+//! turns a bad argument into an `io::Error`. libc is already linked by
+//! std, so no new dependency is introduced.
 //!
 //! Pinning is strictly best-effort: a failed or unsupported call returns
 //! `false` and the caller keeps running unpinned. Nothing in the workspace
-//! may depend on pinning for correctness — only for locality.
+//! may depend on pinning for correctness — only for locality. The file
+//! mappings exist on 64-bit Linux only; elsewhere [`MappedWindow::map`] and
+//! [`fallocate`] return `ErrorKind::Unsupported`.
 
 use std::io;
 use std::time::Duration;
+
+mod window;
+
+pub use window::{fallocate, MappedWindow};
 
 /// Number of logical CPUs visible to this process (1 when unknown).
 pub fn available_cores() -> usize {
@@ -97,7 +105,9 @@ mod imp {
         }
         let mut mask = [0u64; CPU_SET_WORDS];
         mask[core / 64] = 1u64 << (core % 64);
-        // pid 0 = the calling thread.
+        // SAFETY: `mask` is a live local of exactly `CPU_SET_WORDS * 8`
+        // bytes, the size passed, and the kernel only reads it; pid 0 is
+        // the calling thread.
         let rc = unsafe { sched_setaffinity(0, CPU_SET_WORDS * 8, mask.as_ptr()) };
         rc == 0
     }

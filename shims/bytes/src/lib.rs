@@ -233,6 +233,11 @@ impl BytesMut {
         self.data.clear();
     }
 
+    /// Keeps the first `len` bytes (no effect when `len >= self.len()`).
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(len);
+    }
+
     /// Splits off and returns the first `at` bytes; `self` keeps the rest.
     ///
     /// # Panics
