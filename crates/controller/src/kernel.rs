@@ -30,8 +30,8 @@
 //! nothing else of the guarded state. What remains is independently
 //! synchronized and owned elsewhere: the `netsim` network (per-switch
 //! mutexes and its own RCU views — the reactor writes it too),
-//! the lock-free audit ring, the decision-trace buffer, and the atomic
-//! tracker-epoch mirror.
+//! the audit log (one leaf mutex), the decision-trace buffer, and the
+//! atomic tracker-epoch mirror.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -80,8 +80,9 @@ type Submitted = (CommandOutcome, Vec<OutboundEvent>);
 struct CombinerCounters {
     /// Commands that entered [`Kernel::submit`].
     submitted: AtomicU64,
-    /// Journal writes: one per `write(2)` of a queued group, or one per
-    /// command when no file journal group-commits.
+    /// Journal writes: one per queued group stored through the file
+    /// journal's mapped window, or one per command when no file journal
+    /// group-commits.
     writes: AtomicU64,
     /// Commands whose record another submitter's write covered.
     combined: AtomicU64,
@@ -94,8 +95,9 @@ struct CombinerCounters {
 pub struct CombinerStats {
     /// Commands that entered `submit`.
     pub submitted: u64,
-    /// Journal writes: `write(2)` calls that wrote a queued group, or one
-    /// per command on a kernel without a file journal.
+    /// Journal writes: write-outs that stored a queued group through the
+    /// file journal's mapped window, or one per command on a kernel without
+    /// a file journal.
     pub writes: u64,
     /// Commands whose journal record another submitter's write covered.
     pub combined: u64,
@@ -314,13 +316,6 @@ impl Kernel {
     /// registered.
     pub fn engine_snapshot(&self, app: AppId) -> Option<Arc<PermissionEngine>> {
         self.with_registry(|reg| reg.engines.get(&app).cloned())
-    }
-
-    /// Turns audit-record admission on or off (see
-    /// [`crate::audit::AuditLog::set_enabled`]). On by default; benches may
-    /// disable it to isolate mediation cost from logging cost.
-    pub fn set_audit_enabled(&self, enabled: bool) {
-        self.audit.set_enabled(enabled);
     }
 
     /// Enables/disables the registration-time manifest lint (see
@@ -576,9 +571,9 @@ impl Kernel {
             ""
         };
         for d in &diags {
-            self.audit.record_system_with(
+            self.audit.record_system(
                 app,
-                || format!("{replay}lint:{}", d.code),
+                &format!("{replay}lint:{}", d.code),
                 if d.severity >= Severity::Error {
                     AuditOutcome::Denied
                 } else {
@@ -987,11 +982,8 @@ impl Kernel {
     /// Records an app crash in the audit log (`phase` says where it died,
     /// e.g. `on_event`).
     pub fn audit_crash(&self, app: AppId, phase: &str) {
-        self.audit.record_system_with(
-            app,
-            || format!("crash:{phase}"),
-            crate::audit::AuditOutcome::Crashed,
-        );
+        self.audit
+            .record_system(app, &format!("crash:{phase}"), AuditOutcome::Crashed);
     }
 
     /// Records an event discarded before the app saw it (overload shedding
@@ -1233,10 +1225,11 @@ impl Kernel {
     /// the command, queue its journal record, drop the lock, then wait for
     /// the record to be written. Journal order is commit order, and every
     /// record's `audit_seq_after` watermark is captured right after that
-    /// command's audit records land. The file write happens outside the
-    /// lock: a group of submitters that committed meanwhile shares one
-    /// `write(2)` (see [`crate::journal`]). A kernel with no journal
-    /// attached runs the same seam and appends nothing.
+    /// command's audit records land. The file write-out happens outside
+    /// the lock: a group of submitters that committed meanwhile shares one
+    /// store through the journal file's mapped window (see
+    /// [`crate::journal`]). A kernel with no journal attached runs the same
+    /// seam and appends nothing.
     pub fn submit(&self, cmd: Command) -> (CommandOutcome, Vec<OutboundEvent>) {
         // One yield and one retry before blocking: on an oversubscribed
         // host a failed try_lock usually means the holder was preempted

@@ -38,10 +38,9 @@
 //! # Backpressure and liveness
 //!
 //! Egress frames queue in a bounded [`WriteRing`]; when a slow peer fills
-//! it, whole frames are shed and counted — the audit ring's counted-drop
-//! discipline — so a stalled switch can never wedge the reactor or the
-//! threads producing its egress, and the reactor waits for its socket with
-//! `POLLOUT` instead of spinning on it. Liveness: after `echo_interval`
+//! it, whole frames are shed and counted, so a stalled switch can never
+//! wedge the reactor or the threads producing its egress, and the reactor
+//! waits for its socket with `POLLOUT` instead of spinning on it. Liveness: after `echo_interval`
 //! ticks of silence the reactor sends an ECHO_REQUEST with an opaque
 //! payload; a peer that fails to echo it (xid and payload verbatim) within
 //! `echo_timeout` ticks is declared dead, its egress deregistered, and its

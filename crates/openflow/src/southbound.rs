@@ -14,8 +14,7 @@
 //!   parsers for the two hot-path inbound message types.
 //! * [`WriteRing`] — a bounded byte ring for queued replies, flushed with
 //!   vectored writes (at most two `IoSlice`s covering the wrap). When a frame
-//!   does not fit, it is shed and counted — the same counted-drop discipline
-//!   the audit ring uses — rather than blocking the reactor.
+//!   does not fit, it is shed and counted rather than blocking the reactor.
 //!
 //! The encode path ([`WriteRing::push_body`]) reuses one scratch `Vec`
 //! across frames, so it too is allocation-free once warm.

@@ -1,10 +1,13 @@
-//! Offline shim for `crossbeam`: multi-producer **multi-consumer** channels
-//! with crossbeam's disconnect semantics, built on `Mutex<VecDeque>` +
-//! `Condvar`. `std::sync::mpsc` cannot back this — the controller clones one
-//! `Receiver` across a pool of deputy threads, which requires MPMC.
+//! Offline shim for `crossbeam`, in two modules:
+//!
+//! * [`channel`]: multi-producer **multi-consumer** channels with
+//!   crossbeam's disconnect semantics, built on `Mutex<VecDeque>` +
+//!   `Condvar`. `std::sync::mpsc` cannot back this — the controller clones
+//!   one `Receiver` across a pool of deputy threads, which requires MPMC.
+//! * [`epoch`]: `RcuCell`, an epoch-based RCU cell for the kernel's and the
+//!   network's read-mostly snapshots. It holds the shim's only `unsafe`.
 
 pub mod epoch;
-pub mod queue;
 
 pub mod channel {
     use std::collections::VecDeque;
