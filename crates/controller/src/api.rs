@@ -3,12 +3,13 @@
 
 use std::fmt;
 
-use sdnshield_core::api::{ApiCall, EventKind};
+use sdnshield_core::api::EventKind;
 use sdnshield_core::engine::{Decision, DenyReason};
 use sdnshield_core::token::PermissionToken;
 use sdnshield_openflow::messages::{FlowMod, FlowStats, OfError, StatsReply};
 use sdnshield_openflow::types::{DatapathId, PortNo};
 
+use crate::command::{Command, CommandOutcome};
 use crate::hostsys::ConnId;
 
 /// A topology view returned to apps — possibly filtered or virtualized
@@ -153,8 +154,8 @@ pub enum ApiError {
     ManifestRejected(String),
     /// The controller is shutting down.
     Shutdown,
-    /// The deputy executing the call crashed; the call was discarded but the
-    /// deputy pool (and every other app) keeps running.
+    /// The deputy submitting the command panicked; the command was
+    /// discarded but the deputy pool (and every other app) keeps running.
     Internal(String),
     /// No reply arrived within the app's per-call deadline.
     Timeout,
@@ -214,35 +215,17 @@ pub struct FlowOp {
     pub flow_mod: FlowMod,
 }
 
-/// A request crossing the app → deputy channel.
+/// A request crossing the app → deputy channel. Everything an app asks of
+/// the kernel is a [`Command`] in `Submit`; the other requests carry work
+/// that is not a kernel command.
 #[derive(Debug)]
 pub(crate) enum DeputyRequest {
-    /// One mediated API call.
-    Call {
-        /// The reified call.
-        call: ApiCall,
+    /// Submit one command to the kernel on the app's behalf.
+    Submit {
+        /// The command; its app field names the caller.
+        cmd: Command,
         /// Where to send the outcome.
-        reply: crossbeam::channel::Sender<Result<ApiResponse, ApiError>>,
-    },
-    /// An atomic group of flow operations (paper §VI-B2).
-    Transaction {
-        /// The calling app.
-        app: sdnshield_core::api::AppId,
-        /// The operations, applied all-or-nothing.
-        ops: Vec<FlowOp>,
-        /// Where to send the outcome.
-        reply: crossbeam::channel::Sender<Result<ApiResponse, ApiError>>,
-    },
-    /// A batch of flow operations moved across the channel in one crossing
-    /// and checked under a single engine snapshot (same atomicity as
-    /// `Transaction`, audited as a `batch`).
-    Batch {
-        /// The calling app.
-        app: sdnshield_core::api::AppId,
-        /// The operations, applied all-or-nothing.
-        ops: Vec<FlowOp>,
-        /// Where to send the outcome.
-        reply: crossbeam::channel::Sender<Result<ApiResponse, ApiError>>,
+        reply: crossbeam::channel::Sender<CommandOutcome>,
     },
     /// Dispatch events that have an interceptor target, with no reply. The
     /// app runtime hands over the intercepted events an app's returned
@@ -251,27 +234,6 @@ pub(crate) enum DeputyRequest {
     Dispatch {
         /// The derived events.
         events: Vec<crate::kernel::OutboundEvent>,
-    },
-    /// Send on an established host connection (payload carried out-of-band
-    /// of the core `ApiCall` so forensics records real bytes).
-    HostSend {
-        /// The calling app.
-        app: sdnshield_core::api::AppId,
-        /// The connection handle.
-        conn: ConnId,
-        /// The payload.
-        data: bytes::Bytes,
-        /// Where to send the outcome.
-        reply: crossbeam::channel::Sender<Result<(), ApiError>>,
-    },
-    /// Subscribe to a custom topic.
-    SubscribeTopic {
-        /// The subscribing app.
-        app: sdnshield_core::api::AppId,
-        /// The topic.
-        topic: String,
-        /// Acknowledgment.
-        reply: crossbeam::channel::Sender<Result<(), ApiError>>,
     },
     /// Publish a custom event to topic subscribers.
     Publish {

@@ -24,6 +24,7 @@ use sdnshield_openflow::messages::{FlowMod, FlowStats, PacketOut, StatsReply, St
 use sdnshield_openflow::types::{BufferId, DatapathId, Ipv4, PortNo};
 
 use crate::api::{ApiError, ApiResponse, DeputyRequest, FlowOp, TopologyView};
+use crate::command::{Command, CommandOutcome};
 use crate::events::Event;
 use crate::hostsys::ConnId;
 use crate::isolation::DEPUTY_SPIN_TRIES;
@@ -107,9 +108,6 @@ pub(crate) enum CallRoute {
         /// swallows the reply) surfaces as [`ApiError::Timeout`] instead of
         /// blocking the app forever.
         timeout: Duration,
-        /// App-side read fast path; `None` when disabled by configuration
-        /// (every call then crosses the channel).
-        fast: Option<Arc<FastLane>>,
     },
     /// Direct invocation (monolithic baseline). Derived events queue up for
     /// the dispatcher loop.
@@ -194,11 +192,14 @@ fn await_reply<T>(rx: &Receiver<T>, timeout: Duration) -> Result<T, ApiError> {
 pub struct AppCtx {
     app: AppId,
     route: CallRoute,
+    /// App-side read fast path; `None` on the direct route and when
+    /// disabled by configuration (every call then crosses the channel).
+    fast: Option<Arc<FastLane>>,
 }
 
 impl AppCtx {
-    pub(crate) fn new(app: AppId, route: CallRoute) -> Self {
-        AppCtx { app, route }
+    pub(crate) fn new(app: AppId, route: CallRoute, fast: Option<Arc<FastLane>>) -> Self {
+        AppCtx { app, route, fast }
     }
 
     /// This app's identity.
@@ -206,37 +207,53 @@ impl AppCtx {
         self.app
     }
 
-    fn call(&self, kind: ApiCallKind) -> Result<ApiResponse, ApiError> {
-        let call = ApiCall::new(self.app, kind);
+    /// Carries one request down this context's route and returns the
+    /// reply: `request` wraps `payload` for the deputy channel, `direct`
+    /// serves it on this thread on the direct route. The one place the
+    /// route is chosen.
+    fn route<P, T>(
+        &self,
+        payload: P,
+        request: impl FnOnce(P, Sender<T>) -> DeputyRequest,
+        direct: impl FnOnce(P, &Kernel, &Mutex<VecDeque<OutboundEvent>>) -> T,
+    ) -> Result<T, ApiError> {
         match &self.route {
             CallRoute::Deputy {
                 tx,
                 inflight,
                 timeout,
-                fast,
             } => {
-                if let Some(lane) = fast {
-                    if let Some(result) = lane.try_serve(&call) {
-                        return result;
-                    }
-                }
                 let (reply_tx, reply_rx) = bounded(1);
-                send_deputy(
-                    tx,
-                    inflight,
-                    DeputyRequest::Call {
-                        call,
-                        reply: reply_tx,
-                    },
-                )?;
-                await_reply(&reply_rx, *timeout)?
+                send_deputy(tx, inflight, request(payload, reply_tx))?;
+                await_reply(&reply_rx, *timeout)
             }
-            CallRoute::Direct { kernel, pending } => {
-                let (result, events) = kernel.execute(&call);
-                pending.lock().extend(events);
-                result
+            CallRoute::Direct { kernel, pending } => Ok(direct(payload, kernel, pending)),
+        }
+    }
+
+    /// Carries one command to the kernel and returns its outcome. A call
+    /// the fast lane can serve never leaves this thread; the direct route
+    /// queues the derived events for the dispatcher loop.
+    fn submit(&self, cmd: Command) -> Result<CommandOutcome, ApiError> {
+        if let (Some(lane), Command::Call(call)) = (&self.fast, &cmd) {
+            if let Some(result) = lane.try_serve(call) {
+                return Ok(CommandOutcome::Api(result));
             }
         }
+        self.route(
+            cmd,
+            |cmd, reply| DeputyRequest::Submit { cmd, reply },
+            |cmd, kernel, pending| {
+                let (outcome, events) = kernel.submit(cmd);
+                pending.lock().extend(events);
+                outcome
+            },
+        )
+    }
+
+    fn call(&self, kind: ApiCallKind) -> Result<ApiResponse, ApiError> {
+        self.submit(Command::Call(ApiCall::new(self.app, kind)))?
+            .into_api()
     }
 
     /// Reads the topology view this app is allowed to see.
@@ -351,31 +368,11 @@ impl AppCtx {
     ///
     /// [`ApiError::Shutdown`] when the controller is stopping.
     pub fn subscribe_topic(&self, topic: &str) -> Result<(), ApiError> {
-        match &self.route {
-            CallRoute::Deputy {
-                tx,
-                inflight,
-                timeout,
-                ..
-            } => {
-                let (reply_tx, reply_rx) = bounded(1);
-                send_deputy(
-                    tx,
-                    inflight,
-                    DeputyRequest::SubscribeTopic {
-                        app: self.app,
-                        topic: topic.to_owned(),
-                        reply: reply_tx,
-                    },
-                )?;
-                await_reply(&reply_rx, *timeout)??;
-                Ok(())
-            }
-            CallRoute::Direct { kernel, .. } => {
-                kernel.subscribe_topic(self.app, topic);
-                Ok(())
-            }
-        }
+        self.submit(Command::SubscribeTopic {
+            app: self.app,
+            topic: topic.to_owned(),
+        })?
+        .into_ack()
     }
 
     /// Publishes a custom event to topic subscribers (service apps).
@@ -388,30 +385,14 @@ impl AppCtx {
             topic: topic.to_owned(),
             data,
         };
-        match &self.route {
-            CallRoute::Deputy {
-                tx,
-                inflight,
-                timeout,
-                ..
-            } => {
-                let (reply_tx, reply_rx) = bounded(1);
-                send_deputy(
-                    tx,
-                    inflight,
-                    DeputyRequest::Publish {
-                        event,
-                        reply: reply_tx,
-                    },
-                )?;
-                await_reply(&reply_rx, *timeout)??;
-                Ok(())
-            }
-            CallRoute::Direct { pending, .. } => {
+        self.route(
+            event,
+            |event, reply| DeputyRequest::Publish { event, reply },
+            |event, _, pending| {
                 pending.lock().push_back(OutboundEvent { event });
                 Ok(())
-            }
-        }
+            },
+        )?
     }
 
     /// Issues an atomic flow transaction (paper §VI-B2).
@@ -421,32 +402,9 @@ impl AppCtx {
     /// [`ApiError::TransactionAborted`] naming the first offending
     /// operation; nothing is applied in that case.
     pub fn transaction(&self, ops: Vec<FlowOp>) -> Result<(), ApiError> {
-        match &self.route {
-            CallRoute::Deputy {
-                tx,
-                inflight,
-                timeout,
-                ..
-            } => {
-                let (reply_tx, reply_rx) = bounded(1);
-                send_deputy(
-                    tx,
-                    inflight,
-                    DeputyRequest::Transaction {
-                        app: self.app,
-                        ops,
-                        reply: reply_tx,
-                    },
-                )?;
-                await_reply(&reply_rx, *timeout)??;
-                Ok(())
-            }
-            CallRoute::Direct { kernel, pending } => {
-                let (result, events) = kernel.execute_transaction(self.app, &ops);
-                pending.lock().extend(events);
-                result.map(|_| ())
-            }
-        }
+        self.submit(Command::Transaction { app: self.app, ops })?
+            .into_api()
+            .map(|_| ())
     }
 
     /// Submits a batch of flow operations in a single app→KSD channel
@@ -464,32 +422,9 @@ impl AppCtx {
     /// operation; nothing is applied in that case.
     pub fn submit_batch(&self, ops: Vec<FlowOp>) -> Result<usize, ApiError> {
         let n = ops.len();
-        match &self.route {
-            CallRoute::Deputy {
-                tx,
-                inflight,
-                timeout,
-                ..
-            } => {
-                let (reply_tx, reply_rx) = bounded(1);
-                send_deputy(
-                    tx,
-                    inflight,
-                    DeputyRequest::Batch {
-                        app: self.app,
-                        ops,
-                        reply: reply_tx,
-                    },
-                )?;
-                await_reply(&reply_rx, *timeout)??;
-                Ok(n)
-            }
-            CallRoute::Direct { kernel, pending } => {
-                let (result, events) = kernel.execute_batch(self.app, &ops);
-                pending.lock().extend(events);
-                result.map(|_| n)
-            }
-        }
+        self.submit(Command::Batch { app: self.app, ops })?
+            .into_api()
+            .map(|_| n)
     }
 
     /// Opens a connection from the controller host (Class-2 channel).
@@ -511,29 +446,12 @@ impl AppCtx {
     ///
     /// Permission denials (destination re-validated) and unknown handles.
     pub fn host_send(&self, conn: ConnId, data: Bytes) -> Result<(), ApiError> {
-        match &self.route {
-            CallRoute::Deputy {
-                tx,
-                inflight,
-                timeout,
-                ..
-            } => {
-                let (reply_tx, reply_rx) = bounded(1);
-                send_deputy(
-                    tx,
-                    inflight,
-                    DeputyRequest::HostSend {
-                        app: self.app,
-                        conn,
-                        data,
-                        reply: reply_tx,
-                    },
-                )?;
-                await_reply(&reply_rx, *timeout)??;
-                Ok(())
-            }
-            CallRoute::Direct { kernel, .. } => kernel.host_send(self.app, conn, data),
-        }
+        self.submit(Command::HostSend {
+            app: self.app,
+            conn: conn.0,
+            data,
+        })?
+        .into_ack()
     }
 
     /// Opens a file on the controller host.

@@ -200,15 +200,18 @@ impl CommandOutcome {
         }
     }
 
-    /// The outcome a sealed kernel returns for `cmd` without applying it:
-    /// the error shape matches what the command's wrapper expects.
-    pub(crate) fn sealed_for(cmd: &Command) -> CommandOutcome {
+    /// How `cmd` fails without being applied: the returned constructor
+    /// wraps an error in the outcome shape the command's wrapper expects.
+    /// A sealed kernel fails commands with [`ApiError::Shutdown`], a deputy
+    /// whose command panicked with [`ApiError::Internal`]. It is read
+    /// before the command moves into [`crate::kernel::Kernel::submit`].
+    pub(crate) fn error_for(cmd: &Command) -> fn(ApiError) -> CommandOutcome {
         match cmd {
             Command::Call(_) | Command::Transaction { .. } | Command::Batch { .. } => {
-                CommandOutcome::Api(Err(ApiError::Shutdown))
+                |e| CommandOutcome::Api(Err(e))
             }
-            Command::PacketOuts { .. } => CommandOutcome::Count(Err(ApiError::Shutdown)),
-            _ => CommandOutcome::Ack(Err(ApiError::Shutdown)),
+            Command::PacketOuts { .. } => |e| CommandOutcome::Count(Err(e)),
+            _ => |e| CommandOutcome::Ack(Err(e)),
         }
     }
 }
@@ -1190,6 +1193,20 @@ mod tests {
         for cut in 0..full.len() {
             let mut b = full.slice(0..cut);
             assert!(decode_command(&mut b).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn error_for_has_the_shape_the_kernel_replies_in() {
+        use sdnshield_netsim::network::Network;
+        use sdnshield_netsim::topology::builders;
+        use std::mem::discriminant;
+        let kernel = crate::kernel::Kernel::new(Network::new(builders::linear(2), 64), true);
+        for cmd in sample_commands() {
+            let failed = CommandOutcome::error_for(&cmd)(ApiError::Shutdown);
+            let (applied, _) = kernel.submit(cmd.clone());
+            let name = cmd.name();
+            assert_eq!(discriminant(&failed), discriminant(&applied), "{name}");
         }
     }
 

@@ -12,12 +12,14 @@
 //! * deputy-side faults (`panic_in_deputy_on_nth_call`,
 //!   `drop_reply_on_nth_call`, `kill_deputy_on_nth_call`) are armed on the
 //!   controller with `ShieldedController::arm_faults` and consulted by the
-//!   deputy loop per mediated call, keyed by the calling app. Only
-//!   `Call` requests count towards N: transactions, batches and the other
-//!   vectored requests never consult the plan. The app runtime also
-//!   applies the output a burst handler returns (`App::on_events`) and
-//!   counts those applies on a counter of their own; it consults only
-//!   the panic fault, which fires on whichever path reaches N first.
+//!   deputy loop per mediated call, keyed by the calling app. Every
+//!   command an app submits runs under the deputy's unwind guard, but
+//!   only `Command::Call` counts towards N: transactions, batches, host
+//!   sends and topic subscriptions never consult the plan. The app
+//!   runtime also applies the output a burst handler returns
+//!   (`App::on_events`) and counts those applies on a counter of their
+//!   own; it consults only the panic fault, which fires on whichever path
+//!   reaches N first.
 //!
 //! Counters are 1-based: `panic_on_nth_event = Some(2)` crashes while
 //! handling the second delivered event. Each deputy fault fires exactly

@@ -1,16 +1,19 @@
 //! The SDNShield thread-based isolation architecture (paper §VI-A).
 //!
 //! * every app runs on its own unprivileged OS thread;
-//! * every call app code makes crosses typed crossbeam channels — the
-//!   only references an app holds are its [`AppCtx`] handle and the events
-//!   it is delivered (data isolation). The output a batched handler
-//!   *returns* is the one thing that does not cross: the app runtime, which
-//!   is trusted code, applies it on the app's thread after the handler;
-//! * a pool of privileged *Kernel Service Deputy* threads drains the call
-//!   queue, permission-checks each call and executes it on the app's behalf
-//!   (the choke point is a queue, not a serialization point: deputies run in
-//!   parallel, matching the paper's "multiple instances of KSDs can run in
-//!   parallel to offload the API requests from apps").
+//! * every request app code makes crosses one typed crossbeam channel as a
+//!   `DeputyRequest`: a kernel [`Command`] to submit, or a custom-event
+//!   publish. The only references an app holds are its [`AppCtx`] handle
+//!   and the events it is delivered (data isolation). The output a
+//!   batched handler *returns* is the one thing that does not cross: the
+//!   app runtime, which is trusted code, submits it on the app's thread
+//!   after the handler;
+//! * a pool of privileged *Kernel Service Deputy* threads drains the
+//!   request queue and submits each command to the kernel on the app's
+//!   behalf, where it is permission-checked and applied (the choke point
+//!   is a queue, not a serialization point: deputies run in parallel,
+//!   matching the paper's "multiple instances of KSDs can run in parallel
+//!   to offload the API requests from apps").
 //!
 //! On top of the isolation boundary sits a supervision layer (fault
 //! containment, DESIGN.md "Fault model & supervision"):
@@ -19,13 +22,13 @@
 //!   subscriptions and host connections are reclaimed, the crash is
 //!   audited, and its [`RestartPolicy`] decides whether it comes back
 //!   (exponential backoff on the virtual clock) or stays down;
-//! * deputies run each call under an unwind guard — a call that panics the
-//!   kernel logic kills that call, not the deputy — and a watchdog respawns
-//!   any deputy thread that dies anyway;
+//! * deputies submit each command under an unwind guard — a command that
+//!   panics the kernel logic kills that command, not the deputy — and a
+//!   watchdog respawns any deputy thread that dies anyway;
 //! * per-app event queues are bounded: under overload the oldest pending
 //!   event is shed (audited as `Dropped`) rather than growing without limit.
 //!
-//! PR 5 cuts the isolation tax on the hot paths (DESIGN.md "Read fast path
+//! The hot paths avoid crossings where they can (DESIGN.md "Read fast path
 //! & vectored delivery"):
 //!
 //! * read-only calls whose compiled permission plan is call-only are checked
@@ -61,7 +64,7 @@ use sdnshield_openflow::types::DatapathId;
 use crate::api::{ApiError, DeputyRequest};
 use crate::app::{send_deputy, App, AppCtx, BurstOutput, CallRoute, FastLane};
 use crate::arena;
-use crate::command::KernelSnapshot;
+use crate::command::{Command, CommandOutcome, KernelSnapshot};
 use crate::events::Event;
 use crate::fault::{DeputyFault, FaultPlan, FaultRegistry};
 use crate::journal::Journal;
@@ -1110,8 +1113,8 @@ impl ShieldedController {
                 tx: self.call_tx.clone(),
                 inflight: Arc::clone(&self.inflight),
                 timeout: self.config.call_timeout,
-                fast,
             },
+            fast,
         );
         let queue = Arc::new(AppQueue::new(self.config.app_queue_capacity));
         let (ready_tx, ready_rx) = bounded(1);
@@ -1440,7 +1443,8 @@ fn app_loop(
         // returned packet-outs and flow-mods included.
         let output =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| app.on_events(&ctx, &views)));
-        if let Ok(output) = &output {
+        let crashed = output.is_err();
+        if let Ok(output) = output {
             apply_output(
                 &cell,
                 &dispatcher,
@@ -1459,7 +1463,7 @@ fn app_loop(
             }
         }
         inflight.fetch_sub(batch.len(), Ordering::SeqCst);
-        if output.is_err() {
+        if crashed {
             let kernel = cell.load();
             drain_queue(&queue, &kernel, id, &inflight, true);
             handle_crash(&kernel, &dispatcher, &supervisor, id, "on_event");
@@ -1491,23 +1495,35 @@ fn apply_output(
     deputies: &Sender<DeputyRequest>,
     inflight: &AtomicUsize,
     id: AppId,
-    output: &BurstOutput,
+    output: BurstOutput,
 ) {
     if output.is_empty() {
         return;
     }
+    let BurstOutput {
+        packet_outs,
+        flow_ops,
+    } = output;
     let kernel = cell.load();
     let mut intercepted = Vec::new();
     let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if faults.output_panic(id) {
             panic!("injected fault: panic while applying a burst's output");
         }
-        if !output.packet_outs.is_empty() {
-            let (_, events) = kernel.execute_packet_outs(id, &output.packet_outs);
+        if !packet_outs.is_empty() {
+            let cmd = Command::PacketOuts {
+                app: id,
+                outs: packet_outs,
+            };
+            let (_, events) = kernel.submit(cmd);
             intercepted.extend(dispatcher.dispatch_unintercepted(&kernel, events));
         }
-        if !output.flow_ops.is_empty() {
-            let (_, events) = kernel.execute_batch(id, &output.flow_ops);
+        if !flow_ops.is_empty() {
+            let cmd = Command::Batch {
+                app: id,
+                ops: flow_ops,
+            };
+            let (_, events) = kernel.submit(cmd);
             intercepted.extend(dispatcher.dispatch_unintercepted(&kernel, events));
         }
     }));
@@ -1629,8 +1645,13 @@ fn deputy_loop(
         while let Some(req) = burst.pending.pop_front() {
             let counted = !matches!(req, DeputyRequest::Stop);
             match req {
-                DeputyRequest::Call { call, reply } => {
-                    let fault = faults.deputy_action(call.app);
+                DeputyRequest::Submit { cmd, reply } => {
+                    // Only calls count towards a fault plan's N (see
+                    // `crate::fault`).
+                    let fault = match &cmd {
+                        Command::Call(call) => faults.deputy_action(call.app),
+                        _ => DeputyFault::None,
+                    };
                     if fault == DeputyFault::KillDeputy {
                         // The work item must be uncounted before the thread
                         // dies, or quiesce() would wait for it forever. The
@@ -1640,65 +1661,34 @@ fn deputy_loop(
                         inflight.fetch_sub(1, Ordering::SeqCst);
                         panic!("injected fault: deputy killed");
                     }
-                    // The unwind guard is the containment boundary: a call that
-                    // panics kernel logic (or an injected fault) poisons that
-                    // one call, not the deputy serving it.
+                    // The unwind guard is the containment boundary: a command
+                    // that panics kernel logic (or an injected fault) poisons
+                    // that one command, not the deputy serving it.
+                    let failed = CommandOutcome::error_for(&cmd);
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         if fault == DeputyFault::Panic {
                             panic!("injected fault: panic during call execution");
                         }
-                        kernel.execute(&call)
+                        kernel.submit(cmd)
                     }));
                     match outcome {
-                        Ok((result, events)) => {
+                        Ok((outcome, events)) => {
                             if fault == DeputyFault::DropReply {
                                 // Keep the sender alive so the caller times out
                                 // rather than seeing a disconnect.
                                 faults.park(Box::new(reply));
                             } else {
-                                let _ = reply.send(result);
+                                let _ = reply.send(outcome);
                             }
                             // Derived events (packet-ins from packet-outs,
                             // flow-removed from deletes) dispatch
-                            // asynchronously: the issuing call must not block
+                            // asynchronously: the issuing app must not block
                             // on other apps.
                             dispatcher.dispatch(&kernel, events, false);
                         }
                         Err(_) => {
-                            let _ = reply.send(Err(ApiError::Internal(
-                                "deputy panicked executing the call".into(),
-                            )));
-                        }
-                    }
-                }
-                DeputyRequest::Transaction { app, ops, reply } => {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        kernel.execute_transaction(app, &ops)
-                    }));
-                    match outcome {
-                        Ok((result, events)) => {
-                            let _ = reply.send(result);
-                            dispatcher.dispatch(&kernel, events, false);
-                        }
-                        Err(_) => {
-                            let _ = reply.send(Err(ApiError::Internal(
-                                "deputy panicked executing the transaction".into(),
-                            )));
-                        }
-                    }
-                }
-                DeputyRequest::Batch { app, ops, reply } => {
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        kernel.execute_batch(app, &ops)
-                    }));
-                    match outcome {
-                        Ok((result, events)) => {
-                            let _ = reply.send(result);
-                            dispatcher.dispatch(&kernel, events, false);
-                        }
-                        Err(_) => {
-                            let _ = reply.send(Err(ApiError::Internal(
-                                "deputy panicked executing the batch".into(),
+                            let _ = reply.send(failed(ApiError::Internal(
+                                "deputy panicked executing the command".into(),
                             )));
                         }
                     }
@@ -1708,18 +1698,6 @@ fn deputy_loop(
                     // this deputy, not the app thread, waits for the
                     // interceptors (see `apply_output`).
                     dispatcher.dispatch(&kernel, events, false);
-                }
-                DeputyRequest::HostSend {
-                    app,
-                    conn,
-                    data,
-                    reply,
-                } => {
-                    let _ = reply.send(kernel.host_send(app, conn, data));
-                }
-                DeputyRequest::SubscribeTopic { app, topic, reply } => {
-                    kernel.subscribe_topic(app, &topic);
-                    let _ = reply.send(Ok(()));
                 }
                 DeputyRequest::Publish { event, reply } => {
                     // Publish is synchronous: subscribers finish processing

@@ -1267,7 +1267,8 @@ impl Kernel {
         cmd: Command,
     ) -> (Submitted, Option<(Arc<Journal>, u64)>) {
         if self.sealed.load(Ordering::SeqCst) {
-            return ((CommandOutcome::sealed_for(&cmd), Vec::new()), None);
+            let sealed = CommandOutcome::error_for(&cmd)(ApiError::Shutdown);
+            return ((sealed, Vec::new()), None);
         }
         let out = self.apply_command(state, &cmd);
         let seq = self.last_applied.load(Ordering::SeqCst) + 1;

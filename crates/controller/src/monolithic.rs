@@ -93,6 +93,7 @@ impl MonolithicController {
                 kernel: Arc::clone(&self.kernel),
                 pending: Arc::clone(&self.pending),
             },
+            None,
         )
     }
 
