@@ -125,8 +125,10 @@ pub(crate) enum CallRoute {
 /// from the cell and [`Kernel::try_serve_read`] pins its published registry
 /// view once, deciding and reading through the same snapshot. That method
 /// makes only call-only permission decisions (anything stateful returns
-/// `None` and rides the deputy), re-validates the kernel's context epoch
-/// around the decision, and serves only the read-only handler kinds.
+/// `None` and rides the deputy) and serves only queries. A call-only
+/// decision does not depend on the ownership tracker, so a racing tracker
+/// write never sends a read back across the channel. A query is audited on
+/// either lane and journaled on neither.
 pub(crate) struct FastLane {
     cell: Arc<crate::isolation::KernelCell>,
     /// Controller-wide hit counter (observability, tests).

@@ -35,8 +35,10 @@ use crate::hostsys::HostSnapshot;
 /// A serializable kernel mutation: the single vocabulary every
 /// state-changing entry point is expressed in before it is applied and
 /// journaled. Read-only calls ride [`Command::Call`] too when submitted
-/// through the deputy path — journaling them is harmless (they mutate
-/// nothing on replay) and keeps the seam uniform.
+/// through the deputy path, so one seam decides and audits every call; but
+/// a query ([`Command::is_query`]) is never sequenced or journaled. Replay
+/// still applies a query record — journals written before that rule hold
+/// them — and it mutates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Register an app under its reconciled manifest (carried as canonical
@@ -126,6 +128,13 @@ pub enum Command {
 }
 
 impl Command {
+    /// Is this a query — a [`Command::Call`] whose kind
+    /// [`ApiCallKind::is_query`]? Queries change no state, so the seam
+    /// serves and audits them but gives them no journal record.
+    pub fn is_query(&self) -> bool {
+        matches!(self, Command::Call(call) if call.kind.is_query())
+    }
+
     /// A short operation name for logs and journal inspection.
     pub fn name(&self) -> &'static str {
         match self {

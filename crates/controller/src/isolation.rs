@@ -33,8 +33,8 @@
 //!
 //! * read-only calls whose compiled permission plan is call-only are checked
 //!   and served on the app's own thread ([`crate::app::FastLane`]) with zero
-//!   channel crossings, falling back to the deputy on epoch change or any
-//!   stateful/mutating call;
+//!   channel crossings, falling back to the deputy for any stateful or
+//!   mutating call;
 //! * deputies use a spin-then-park receive and drain request bursts, so a
 //!   pipelined workload pays one wake-up per burst instead of one per call;
 //! * event fan-out shares one `Arc<Event>` view across subscribers and
@@ -584,10 +584,10 @@ pub struct ControllerConfig {
     pub app_queue_capacity: usize,
     /// Per-call reply deadline on the app side.
     pub call_timeout: Duration,
-    /// Serve call-only read calls on the app's own thread (epoch-validated,
-    /// zero channel crossings), falling back to the deputy on epoch change
-    /// and for every stateful or mutating call. On by default; turn off to
-    /// force the pure-deputy path (baseline measurements, differentials).
+    /// Serve call-only read calls on the app's own thread (zero channel
+    /// crossings), falling back to the deputy for every stateful or
+    /// mutating call. On by default; turn off to force the pure-deputy path
+    /// (baseline measurements, differentials).
     pub read_fast_path: bool,
     /// No effect; kept only because `benchmark/src/common.rs` names it.
     /// ROADMAP item 1(a)'s `[benchmark]` PR deletes it.

@@ -74,11 +74,23 @@ pub struct OutboundEvent {
 /// events its application generated.
 type Submitted = (CommandOutcome, Vec<OutboundEvent>);
 
+/// What [`Kernel::commit_one`] leaves for [`Kernel::submit`] to finish once
+/// the commit lock is gone.
+enum Committed {
+    /// A query: applied and audited, but given no sequence number and no
+    /// journal record.
+    Query,
+    /// A command that took a sequence number (or was refused by a sealed
+    /// kernel); `Some` carries the journal that queued its record and the
+    /// sequence to sync.
+    Sequenced(Option<(Arc<Journal>, u64)>),
+}
+
 /// Write-pipeline counters, updated with relaxed atomics on the write path
 /// and snapshotted by [`Kernel::combiner_stats`].
 #[derive(Default)]
 struct CombinerCounters {
-    /// Commands that entered [`Kernel::submit`].
+    /// Commands that entered [`Kernel::submit`], queries excluded.
     submitted: AtomicU64,
     /// Journal writes: one per queued group stored through the file
     /// journal's mapped window, or one per command when no file journal
@@ -93,7 +105,8 @@ struct CombinerCounters {
 /// `fast_path_hits` (DESIGN.md §16).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CombinerStats {
-    /// Commands that entered `submit`.
+    /// Commands that entered `submit`, queries excluded: a query takes no
+    /// sequence number and writes no journal record.
     pub submitted: u64,
     /// Journal writes: write-outs that stored a queued group through the
     /// file journal's mapped window, or one per command on a kernel without
@@ -377,10 +390,10 @@ impl Kernel {
     ///
     /// With a `tracker` — which only the commit-guard holder can supply — a
     /// stateful plan is decided against it and the answer is always `Some`.
-    /// Without one the decision must be a pure function of the call: `None`
-    /// means "needs live state" (a stateful plan, or the tracker moved
-    /// mid-decision) and the caller routes the call to a lane that holds
-    /// the commit lock.
+    /// Without one, a call-only decision is returned as is: it is a pure
+    /// function of the call, so a tracker write racing it cannot change the
+    /// verdict. `None` means "needs live state" (a stateful plan) and the
+    /// caller routes the call to a lane that holds the commit lock.
     fn decide(
         &self,
         engine: Option<&PermissionEngine>,
@@ -397,13 +410,9 @@ impl Kernel {
                 reason: sdnshield_core::engine::DenyReason::MissingToken,
             });
         };
-        let epoch = self.context_epoch();
-        match (engine.check_call_only(call, epoch), tracker) {
-            (Some(decision), Some(_)) => Some(decision),
-            (Some(decision), None) if self.context_epoch() == epoch => Some(decision),
-            (None, Some(tracker)) => Some(engine.check(call, tracker)),
-            _ => None,
-        }
+        engine
+            .check_call_only(call, self.context_epoch())
+            .or_else(|| tracker.map(|tracker| engine.check(call, tracker)))
     }
 
     /// Records a decision: traced under `lane`, and a denial audited as
@@ -611,11 +620,14 @@ impl Kernel {
     /// Returns the response plus any events to dispatch.
     ///
     /// The call is reified as a [`Command`] and routed through
-    /// [`Kernel::submit`] — checked, applied and (with a journal attached)
-    /// appended under the commit lock. Journaling is unconditional, denials
-    /// included: replay re-derives the same denials, which is what keeps
-    /// tracker epochs (a count of tracker mutations) identical between a
-    /// live kernel and its recovered twin.
+    /// [`Kernel::submit`] — checked and applied under the commit lock. A
+    /// call that can change state is then sequenced and (with a journal
+    /// attached) appended, denials included: replay re-derives the same
+    /// denials, which is what keeps tracker epochs (a count of tracker
+    /// mutations) identical between a live kernel and its recovered twin.
+    /// A query ([`ApiCallKind::is_query`]) is decided against the live
+    /// tracker and audited the same way, but takes no sequence number and
+    /// is never journaled.
     pub fn execute(&self, call: &ApiCall) -> (Result<ApiResponse, ApiError>, Vec<OutboundEvent>) {
         let (outcome, events) = self.submit(Command::Call(call.clone()));
         (outcome.into_api(), events)
@@ -664,27 +676,23 @@ impl Kernel {
     /// * the permission decision is a pure function of the call
     ///   ([`PermissionEngine::check_call_only`] — constant or call-only
     ///   plan; stateful literals route to the deputy), and
-    /// * the handler is one of the read-only kinds (`read_topology`,
-    ///   `read_flow_table`, `read_statistics`), which [`Kernel::serve_read`]
-    ///   answers from the registry view and the network alone.
+    /// * the call is a query ([`ApiCallKind::is_query`]), which
+    ///   [`Kernel::serve_read`] answers from the registry view and the
+    ///   network alone.
     ///
     /// The thread pins once: the engine the call is checked against and the
     /// registry the read is filtered through are one published view, so a
-    /// registration change is seen entirely or not at all. The context
-    /// epoch is re-read after the check: if the ownership tracker mutated
-    /// mid-decision the hit is abandoned (`None`) and the call falls back to
-    /// the deputy, which decides against the live tracker. Denials and
+    /// registration change is seen entirely or not at all. A call-only
+    /// decision cannot depend on the ownership tracker, so a tracker write
+    /// racing it never sends the call back to the deputy. Denials and
     /// served reads are audited exactly as [`Kernel::execute`] would audit
-    /// them, so forensics cannot tell the two paths apart.
+    /// them, and neither lane journals a query, so forensics cannot tell
+    /// the two paths apart.
     ///
-    /// `None` always means "route through the deputy", never "denied".
+    /// `None` always means "route through the deputy", never "denied": it
+    /// is returned only for a stateful plan or an unregistered app.
     pub fn try_serve_read(&self, call: &ApiCall) -> Option<Result<ApiResponse, ApiError>> {
-        if !matches!(
-            call.kind,
-            ApiCallKind::ReadTopology
-                | ApiCallKind::ReadFlowTable { .. }
-                | ApiCallKind::ReadStatistics { .. }
-        ) {
+        if !call.kind.is_query() {
             return None;
         }
         self.with_registry(|registry| {
@@ -694,8 +702,8 @@ impl Kernel {
                 return None;
             }
             // No commit guard here, so there is no tracker to consult: a
-            // stateful plan or a tracker that moved mid-decision abandons
-            // the hit and the deputy re-decides against live state.
+            // stateful plan abandons the hit and the deputy decides it
+            // against live state.
             let decision = self.decide(engine, call, None)?;
             if let Err(denied) = self.admit(call, call.kind.name(), "fastlane", decision) {
                 return Some(Err(denied));
@@ -1028,11 +1036,17 @@ impl Kernel {
 
     /// Subscribes an app to a custom topic (not permission-gated: topics are
     /// app-published data, mediated by the publishing app).
-    pub fn subscribe_topic(&self, app: AppId, topic: &str) {
-        let _ = self.submit(Command::SubscribeTopic {
+    ///
+    /// # Errors
+    ///
+    /// [`ApiError::Shutdown`] when the kernel is sealed: the subscription
+    /// is not made.
+    pub fn subscribe_topic(&self, app: AppId, topic: &str) -> Result<(), ApiError> {
+        let (outcome, _) = self.submit(Command::SubscribeTopic {
             app,
             topic: topic.to_owned(),
         });
+        outcome.into_ack()
     }
 
     /// May this app read packet-in payloads (`read_payload`)? Always true on
@@ -1229,7 +1243,10 @@ impl Kernel {
     /// the lock: a group of submitters that committed meanwhile shares one
     /// store through the journal file's mapped window (see
     /// [`crate::journal`]). A kernel with no journal attached runs the same
-    /// seam and appends nothing.
+    /// seam and appends nothing. A query ([`Command::is_query`]) is applied
+    /// under the lock like any command, so a stateful plan is decided
+    /// against the live tracker, but it is not sequenced, journaled or
+    /// waited for, and the combiner counters do not count it.
     pub fn submit(&self, cmd: Command) -> (CommandOutcome, Vec<OutboundEvent>) {
         // One yield and one retry before blocking: on an oversubscribed
         // host a failed try_lock usually means the holder was preempted
@@ -1243,8 +1260,11 @@ impl Kernel {
                 self.commit.try_lock()
             })
             .unwrap_or_else(|| self.commit.lock());
-        let (out, queued) = self.commit_one(&mut guard, cmd);
+        let (out, committed) = self.commit_one(&mut guard, cmd);
         drop(guard);
+        let Committed::Sequenced(queued) = committed else {
+            return out;
+        };
         let c = &self.combiner;
         c.submitted.fetch_add(1, Ordering::Relaxed);
         match queued {
@@ -1258,19 +1278,18 @@ impl Kernel {
         out
     }
 
-    /// Commits one command under the held lock: apply, sequence, journal.
-    /// Returns the outcome plus, when the journal only queued the record,
-    /// the journal and sequence the caller must sync once the lock is gone.
-    fn commit_one(
-        &self,
-        state: &mut State,
-        cmd: Command,
-    ) -> (Submitted, Option<(Arc<Journal>, u64)>) {
+    /// Commits one command under the held lock: apply, then — unless it is
+    /// a query — sequence and journal. Returns the outcome plus what the
+    /// caller must do once the lock is gone.
+    fn commit_one(&self, state: &mut State, cmd: Command) -> (Submitted, Committed) {
         if self.sealed.load(Ordering::SeqCst) {
             let sealed = CommandOutcome::error_for(&cmd)(ApiError::Shutdown);
-            return ((sealed, Vec::new()), None);
+            return ((sealed, Vec::new()), Committed::Sequenced(None));
         }
         let out = self.apply_command(state, &cmd);
+        if cmd.is_query() {
+            return (out, Committed::Query);
+        }
         let seq = self.last_applied.load(Ordering::SeqCst) + 1;
         self.last_applied.store(seq, Ordering::SeqCst);
         let queued = state
@@ -1278,7 +1297,7 @@ impl Kernel {
             .as_ref()
             .filter(|journal| journal.append(seq, self.audit.seen(), cmd))
             .map(|journal| (Arc::clone(journal), seq));
-        (out, queued)
+        (out, Committed::Sequenced(queued))
     }
 
     /// Snapshot of the write pipeline's counters.
@@ -2523,9 +2542,20 @@ mod tests {
         ));
         assert!(res.unwrap_err().is_denied());
         // Custom topics are unmediated pub/sub.
-        kernel.subscribe_topic(app, "alto");
-        kernel.subscribe_topic(app, "alto");
+        kernel.subscribe_topic(app, "alto").unwrap();
+        kernel.subscribe_topic(app, "alto").unwrap();
         assert_eq!(kernel.topic_subscribers("alto"), vec![app]);
+    }
+
+    #[test]
+    fn sealed_kernel_refuses_a_topic_subscription() {
+        let (kernel, app) = kernel_with("PERM pkt_in_event");
+        kernel.seal();
+        assert!(matches!(
+            kernel.subscribe_topic(app, "alto"),
+            Err(ApiError::Shutdown)
+        ));
+        assert!(kernel.topic_subscribers("alto").is_empty());
     }
 
     #[test]

@@ -406,14 +406,16 @@ fn group_commit_storm_audits_every_call_exactly_once() {
         "one audit record per executed call, combined or not"
     );
     assert_contiguous(&records, "group-commit storm");
-    // The journal agrees call-for-call: every journaled record carries the
-    // audit watermark observed right after its own apply, so watermarks
-    // are non-decreasing in commit order even across batched appends.
+    // The journal agrees call-for-call on every call that can change state
+    // (the reads, one call in four, are queries and journal nothing):
+    // every journaled record carries the audit watermark observed right
+    // after its own apply, so watermarks are non-decreasing in commit order
+    // even across batched appends.
     let journal_records = journal.records_since(0);
     assert_eq!(
         journal_records.len(),
-        THREADS + THREADS * PER_THREAD,
-        "registrations + every call journaled"
+        THREADS + THREADS * (PER_THREAD - PER_THREAD / 4),
+        "registrations + every non-read call journaled"
     );
     for pair in journal_records.windows(2) {
         assert!(

@@ -11,8 +11,8 @@
 //! * every mutating call and every stateful-plan read returns `None` from
 //!   the fast path (it must traverse the deputy);
 //! * under a concurrent epoch-bumping mutator, fast-path answers for
-//!   call-only plans never waver (the decision cache + epoch revalidation
-//!   cannot leak a stale verdict);
+//!   call-only plans never waver (the epoch-keyed decision cache cannot
+//!   leak a stale verdict);
 //! * at controller level, an app observes identical results with the fast
 //!   lane on and off — and the `#[ignore]`d tier-2 test asserts the lane's
 //!   ≥2× latency win on multi-core hosts.
@@ -342,7 +342,7 @@ fn stateful_plan_reads_defer_to_deputy() {
 /// bumps the context epoch) while the main thread reads through the fast
 /// path. Call-only decisions are epoch-independent — the epoch only keys
 /// the decision cache — so any waver in the answers would be a stale cache
-/// entry leaking through the revalidation window.
+/// entry leaking across an epoch change.
 #[test]
 fn concurrent_epoch_bumps_never_change_call_only_decisions() {
     // SWITCH_LEVEL is the coarsest grant: table summaries pass, flow-level
@@ -400,10 +400,7 @@ fn concurrent_epoch_bumps_never_change_call_only_decisions() {
     }
     stop.store(true, Ordering::Relaxed);
     mutator.join().unwrap();
-    assert!(
-        hits > 0,
-        "the fast path never served a single call; epoch revalidation is too strict"
-    );
+    assert!(hits > 0, "the fast path never served a single call");
 }
 
 /// An app that performs a fixed read/write script and records every result

@@ -112,8 +112,9 @@ fn pkt_out_call(which: u8) -> ApiCall {
 }
 
 /// One scripted command, applied through the kernel's journaled wrappers.
-/// Each step submits exactly one command (one journal record), so journal
-/// positions map 1:1 onto script positions.
+/// Each step submits exactly one command. Every step but `Read` leaves one
+/// journal record; a `Read` is a query and leaves none, so journal
+/// positions map 1:1 onto the script's non-read steps.
 #[derive(Debug, Clone)]
 enum Step {
     Insert {
@@ -209,7 +210,7 @@ fn apply_step(kernel: &Kernel, step: &Step) {
             let _ = kernel.fail_link(DatapathId(1), DatapathId(2));
         }
         Step::Subscribe { topic } => {
-            kernel.subscribe_topic(PRIV, &format!("topic-{topic}"));
+            let _ = kernel.subscribe_topic(PRIV, &format!("topic-{topic}"));
         }
         Step::RegisterExtra => {
             let _ = kernel.register_app(EXTRA, "extra", &unpriv_manifest());
@@ -579,8 +580,8 @@ proptest! {
         crash_sel in any::<u16>(),
     ) {
         let (live, journal) = journaled_kernel();
-        // Registrations occupy records 1..=2; script step i becomes
-        // record 3 + i.
+        // Registrations occupy records 1..=2; the script's j-th non-read
+        // step becomes record 3 + j.
         let snap_at = snap_sel as usize % (script.len() + 1);
         let mut snap: Option<KernelSnapshot> = None;
         for (i, step) in script.iter().enumerate() {
@@ -601,10 +602,18 @@ proptest! {
         let recovered = Kernel::recover(net(), &snap, &truncated);
 
         // Reference: a kernel that lived exactly those `crash` records —
-        // 2 registrations + the first (crash - 2) script steps.
+        // 2 registrations + the script prefix holding (crash - 2) journaled
+        // steps (a `Step::Read` journals nothing).
         let reference = reference_kernel();
-        for step in &script[..crash.saturating_sub(2)] {
+        let mut journaled = crash.saturating_sub(2);
+        for step in &script {
+            if journaled == 0 {
+                break;
+            }
             apply_step(&reference, step);
+            if !matches!(step, Step::Read { .. }) {
+                journaled -= 1;
+            }
         }
         prop_assert!(
             recovered.snapshot().state_eq(&reference.snapshot()),
@@ -818,7 +827,8 @@ proptest! {
     /// Differential group-commit property: for arbitrary concurrent command
     /// traces — four threads, each with its own generated op list — the
     /// journal the storm leaves behind replays to a kernel state-equal to
-    /// the live one, with a dense record per submitted command. Whatever
+    /// the live one, with a dense record per submitted command (reads, being
+/// queries, submit none). Whatever
     /// order the commit lock chose, the kernel committed, journaled, and
     /// acknowledged the *same* history.
     #[test]
@@ -829,7 +839,8 @@ proptest! {
         ),
     ) {
         let (live, journal) = journaled_kernel();
-        let total_ops: usize = traces.iter().map(Vec::len).sum();
+        // Op kind 2 is a read: a query, which journals nothing.
+        let total_ops = traces.iter().flatten().filter(|(kind, _, _)| *kind != 2).count();
         std::thread::scope(|s| {
             for (t, trace) in traces.iter().enumerate() {
                 let live = &live;
@@ -840,7 +851,7 @@ proptest! {
                 });
             }
         });
-        prop_assert_eq!(journal.len(), 2 + total_ops, "one record per op");
+        prop_assert_eq!(journal.len(), 2 + total_ops, "one record per non-read op");
         assert_dense_seqs(&journal);
         let empty_snap = Kernel::new(net(), true).snapshot();
         let recovered = Kernel::recover(net(), &empty_snap, &journal);

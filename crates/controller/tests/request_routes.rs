@@ -13,7 +13,7 @@ use sdnshield_controller::command::Command;
 use sdnshield_controller::isolation::{ControllerConfig, ShieldedController};
 use sdnshield_controller::journal::Journal;
 use sdnshield_controller::monolithic::MonolithicController;
-use sdnshield_core::api::{ApiCallKind, EventKind};
+use sdnshield_core::api::EventKind;
 use sdnshield_core::lang::parse_manifest;
 use sdnshield_core::perm::PermissionSet;
 use sdnshield_netsim::network::Network;
@@ -196,18 +196,6 @@ fn run_monolithic() -> Run {
     }
 }
 
-fn is_read(cmd: &Command) -> bool {
-    matches!(
-        cmd,
-        Command::Call(call) if matches!(
-            call.kind,
-            ApiCallKind::ReadTopology
-                | ApiCallKind::ReadFlowTable { .. }
-                | ApiCallKind::ReadStatistics { .. }
-        )
-    )
-}
-
 #[test]
 fn every_request_reaches_the_kernel_as_the_same_command_on_every_route() {
     let deputy = run_shielded(false);
@@ -221,23 +209,18 @@ fn every_request_reaches_the_kernel_as_the_same_command_on_every_route() {
     }
     assert!(deputy.returns.contains(&"Ok(3)".to_owned()), "batch count");
 
-    // One command per request except `publish`, which is not a command.
-    assert_eq!(deputy.commands.len(), deputy.returns.len() - 1);
+    // One journaled command per request except `publish`, which is not a
+    // command, and the three reads, which are queries: decided and audited
+    // on every route, journaled on none.
+    assert_eq!(deputy.commands.len(), deputy.returns.len() - 4);
+    assert!(!deputy.commands.iter().any(Command::is_query));
     assert_eq!(deputy.fast_path_hits, 0);
     assert_eq!(deputy.commands, direct.commands, "deputy vs direct route");
 
-    // The fast lane serves the reads on the app thread, unjournaled; every
-    // other command is the deputy route's, in the same order.
-    let unserved: Vec<Command> = deputy
-        .commands
-        .iter()
-        .filter(|c| !is_read(c))
-        .cloned()
-        .collect();
-    let served = (deputy.commands.len() - unserved.len()) as u64;
-    assert_eq!(served, 3);
-    assert_eq!(fast.fast_path_hits, served);
-    assert_eq!(fast.commands, unserved, "fast lane vs deputy route");
+    // The fast lane serves the three reads on the app thread; the journal
+    // it leaves is the deputy route's, command for command.
+    assert_eq!(fast.fast_path_hits, 3);
+    assert_eq!(fast.commands, deputy.commands, "fast lane vs deputy route");
 
     assert_eq!(deputy.returns, direct.returns, "deputy vs direct returns");
     assert_eq!(deputy.returns, fast.returns, "deputy vs fast-lane returns");

@@ -180,6 +180,20 @@ impl ApiCallKind {
         }
     }
 
+    /// Is this a query — a read answered from the registry view and the
+    /// network alone, which changes no state and emits no event? Queries
+    /// are audited on every lane but never journaled: replaying one would
+    /// serve a reply nobody reads. `ReadPayload` is not one; it stays a
+    /// command.
+    pub fn is_query(&self) -> bool {
+        matches!(
+            self,
+            ApiCallKind::ReadTopology
+                | ApiCallKind::ReadFlowTable { .. }
+                | ApiCallKind::ReadStatistics { .. }
+        )
+    }
+
     /// A short operation name for logs and error messages.
     pub fn name(&self) -> &'static str {
         match self {
@@ -331,6 +345,27 @@ mod tests {
         };
         assert_eq!(po.pkt_out_payload().unwrap().as_ref(), b"abc");
         assert!(ApiCallKind::ReadTopology.pkt_out_payload().is_none());
+    }
+
+    #[test]
+    fn queries_are_the_three_reads() {
+        let flow = FlowMatch::default();
+        assert!(ApiCallKind::ReadTopology.is_query());
+        assert!(ApiCallKind::ReadFlowTable {
+            dpid: DatapathId(1),
+            query: flow.clone(),
+        }
+        .is_query());
+        assert!(ApiCallKind::ReadStatistics {
+            dpid: DatapathId(1),
+            request: StatsRequest::Flow(flow),
+        }
+        .is_query());
+        assert!(!ApiCallKind::ReadPayload {
+            dpid: DatapathId(1)
+        }
+        .is_query());
+        assert!(!insert_call().kind.is_query());
     }
 
     #[test]
